@@ -1,0 +1,110 @@
+"""Golden digests of whole evaluation traces at small budgets.
+
+Each case runs one solve and hashes every evaluation the way
+``perfbench/run.py`` does: index, value and incumbent packed as ``<qdd``,
+then the normalized point as little-endian float64.  A change anywhere in
+selection, sampling, division, slope bookkeeping or local search that moves
+a single evaluation, even in its last bit, changes a digest.  The digests
+were recorded once and are frozen here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pathlib
+import struct
+
+import numpy as np
+import pytest
+
+from halo.geometry import BoxDomain, ObjectiveHandle, StopRule
+from halo.manifest import load_manifest, problem_from_record
+from halo.problems import classical_problem, rastrigin, shift_minimizer
+from halo.solver import SolverConfig, run
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def manifest_handle(name: str, index: int):
+    def build():
+        handle = problem_from_record(load_manifest(ROOT / "benchmarks" / name)[index]).make_handle()
+        handle.known_optimum = None  # no early stop: every case spends its whole budget
+        return handle
+
+    return build
+
+
+def deep_rastrigin_handle():
+    # the criterion-5 setup: with local search off, the box around the
+    # centered optimum is trisected past level 300
+    return ObjectiveHandle(lambda x: float(rastrigin(x)), BoxDomain([-5.12] * 2, [5.12] * 2))
+
+
+def rastrigin8_handle():
+    # n >= 8: numpy's row reductions switch to pairwise summation here
+    handle = shift_minimizer(classical_problem("rastrigin", 8), seed=1).make_handle()
+    handle.known_optimum = None
+    return handle
+
+
+# case id -> (handle builder, variant, budget, beta, local search on)
+CASES = {
+    "schoen30#0/halo": (manifest_handle("schoen30.jsonl", 0), "halo", 1500, 1e-2, True),
+    "schoen30#0/hlo": (manifest_handle("schoen30.jsonl", 0), "hlo", 1500, 1e-2, True),
+    "schoen30#0/direct": (manifest_handle("schoen30.jsonl", 0), "direct", 1500, 1e-4, True),
+    "schoen30#21/halo": (manifest_handle("schoen30.jsonl", 21), "halo", 1500, 1e-4, True),
+    "schoen30#21/hlo": (manifest_handle("schoen30.jsonl", 21), "hlo", 1500, 1e-4, True),
+    "schoen30#21/direct": (manifest_handle("schoen30.jsonl", 21), "direct", 1500, 1e-4, True),
+    "classical20#3/halo": (manifest_handle("classical20.jsonl", 3), "halo", 1500, 1e-4, True),
+    "classical20#3/hlo": (manifest_handle("classical20.jsonl", 3), "hlo", 1500, 1e-4, True),
+    "classical20#3/direct": (manifest_handle("classical20.jsonl", 3), "direct", 1500, 1e-4, True),
+    "classical20#12/halo": (manifest_handle("classical20.jsonl", 12), "halo", 1500, 1e-2, True),
+    "classical20#12/hlo": (manifest_handle("classical20.jsonl", 12), "hlo", 1500, 1e-2, True),
+    "classical20#12/direct": (manifest_handle("classical20.jsonl", 12), "direct", 1500, 1e-4, True),
+    "rastrigin2-deep/halo": (deep_rastrigin_handle, "halo", 3000, 1e-4, False),
+    "rastrigin8/halo": (rastrigin8_handle, "halo", 2000, 1e-1, True),
+    "rastrigin8/direct": (rastrigin8_handle, "direct", 2000, 1e-4, True),
+}
+
+GOLDEN = {
+    "schoen30#0/halo": "cc90c08ac5a68178ea80a095876648a5bbb9d283cb6869b410c859b7eb3377a0",
+    "schoen30#0/hlo": "337b07f1997d622b5bd5f85dfc6dc5b18cc3305dd20b29f8bbd21e1557f3245d",
+    "schoen30#0/direct": "96ba4682d33e6e1bfbf815032b5098932142117d01e6f8bafa4870b535ff8466",
+    "schoen30#21/halo": "dc308e64dbf66e19d8eb660f681f64b7bfa1a3530f96a2e52cf7042750c2f043",
+    "schoen30#21/hlo": "01700fdb0e3b793da9ecfec2f2cf53509fe31c93ca3c4db0ef71005c8046f2b4",
+    "schoen30#21/direct": "2d350cd34b36b2cbe004738915f162573b29a91026f4c9834d4f867e67423e47",
+    "classical20#3/halo": "6cd428868f6fdd3399d8e5ff49e531f26e204226f8ce48a67816669231d067f1",
+    "classical20#3/hlo": "0ef657b2e2463eb8a6d73e6a1246695af93b91469071285672a624664697ab97",
+    "classical20#3/direct": "36d77ce3432d137d11de30f6578ca6dde8f320ec4c31d234b1fe3a4d11cb0176",
+    "classical20#12/halo": "067a0592405d7e9295c49508f9b8ac06558377764711e802139922618af0b96e",
+    "classical20#12/hlo": "c8a7b147daa1536bad737b5e2e0e920c6902714f5c581cd818a4d4c6b66e9d35",
+    "classical20#12/direct": "2542bda6c9d3d21ac7834c4d09087ed0eddea0b4bb5c6bdb85905ce8ce38d058",
+    "rastrigin2-deep/halo": "ee382cd1905d7243eee5d79082a3be15a50d13f5b83b4802e223eab20dabbed7",
+    "rastrigin8/halo": "19b8dbc573227a947d253ce3b4d264fa1898b56f1572b06e3cc2caa0e95fba30",
+    "rastrigin8/direct": "f9765f825cff08c9e220eb633a8778997c4913228ba61635d4c9ade0a7a04e72",
+}
+
+
+def trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for e in trace.evals:
+        h.update(struct.pack("<qdd", e.index, e.value, e.best))
+        h.update(np.ascontiguousarray(e.point, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def solve(case: str):
+    build, variant, budget, beta, local = CASES[case]
+    cfg = SolverConfig(variant=variant, beta=beta, local_search_enabled=local,
+                       stop=StopRule(max_fun_evals=budget))
+    return run(build(), cfg)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_digest_unchanged(case):
+    assert trace_digest(solve(case)) == GOLDEN[case]
+
+
+def test_deep_case_trisects_past_level_300():
+    trace = solve("rastrigin2-deep/halo")
+    assert trace.ledger.half_sides.min() < 0.5 * 3.0**-300
