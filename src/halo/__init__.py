@@ -13,7 +13,6 @@ from .geometry import (
     DomainViolationError,
     ObjectiveError,
     ObjectiveHandle,
-    Partition,
     PartitionLedger,
     StopRule,
     denormalize_point,
@@ -21,9 +20,7 @@ from .geometry import (
 )
 from .lipschitz import (
     blend_constants,
-    blend_local_constant,
     global_slope_max,
-    lower_bound,
     update_slopes_on_division,
 )
 from .local_search import ExclusionRegistry, LocalResult, coordinate_descent_minimize, gate_local_search
@@ -42,7 +39,6 @@ from .partitioning import (
     division_order,
     divide_partition,
     init_root,
-    longest_sides,
     sample_partition,
 )
 from .problems import TestProblem, classical_problem, classical_suite, shift_minimizer
@@ -53,7 +49,7 @@ from .selection import (
     select_hlo,
     select_potentially_optimal,
 )
-from .solver import RunTrace, SolverConfig, check_stop, run
+from .solver import RunTrace, SolverConfig, run
 
 __all__ = [
     "BoxDomain",
@@ -61,22 +57,18 @@ __all__ = [
     "DomainViolationError",
     "ObjectiveError",
     "ObjectiveHandle",
-    "Partition",
     "PartitionLedger",
     "StopRule",
     "normalize_point",
     "denormalize_point",
     "init_root",
-    "longest_sides",
     "sample_partition",
     "division_order",
     "divide_partition",
     "SamplePlan",
     "update_slopes_on_division",
     "global_slope_max",
-    "blend_local_constant",
     "blend_constants",
-    "lower_bound",
     "SelectionOutcome",
     "select_halo",
     "select_hlo",
@@ -88,7 +80,6 @@ __all__ = [
     "SolverConfig",
     "RunTrace",
     "run",
-    "check_stop",
     "TestProblem",
     "classical_problem",
     "classical_suite",

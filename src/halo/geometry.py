@@ -1,20 +1,36 @@
-"""Box domains, partitions and the append-only partition ledger.
+"""Box domains, trisection levels and the append-only partition ledger.
 
 All solver geometry lives in the normalized unit hypercube [0, 1]^N.
 Objective functions are evaluated in problem units; the two coordinate
 systems are connected by ``normalize_point`` / ``denormalize_point``.
+
+The solver only ever trisects, so the size of a box is fully described by
+an integer level per side: a side cut ``l`` times has half length
+``HALF_SIDES[l]``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-# Relative tolerance used whenever two trisection side lengths are compared.
-# Repeated division by 3 is not exact in binary floating point.
-SIDE_REL_TOL = 1e-12
+
+def _half_side_table() -> np.ndarray:
+    sides = [0.5]
+    while sides[-1] > 0.0:
+        sides.append(sides[-1] / 3.0)
+    return np.array(sides)
+
+
+# HALF_SIDES[l] is the half side after l trisections: 0.5 divided by 3.0
+# l times, rounding at every step, which can differ in the last bit from
+# 0.5 * 3.0**-l.  The table ends where the value underflows to 0.0, at
+# level MAX_LEVEL = 678.
+HALF_SIDES = _half_side_table()
+HALF_SIDES.setflags(write=False)
+MAX_LEVEL = HALF_SIDES.size - 1
 
 
 class DomainViolationError(ValueError):
@@ -85,35 +101,21 @@ def denormalize_point(q, domain: BoxDomain) -> np.ndarray:
     return domain.lower + q * domain.widths
 
 
-@dataclass
-class Partition:
-    """One hyperrectangle of the normalized domain.
-
-    ``center`` and ``half_sides`` are in normalized units; ``half_sides``
-    holds half the length of each side, so every entry belongs to the
-    trisection closure {0.5 * 3**-m}.  ``slopes`` holds the nonnegative
-    absolute directional difference quotients accumulated for this
-    partition (units: objective change per normalized length).
-    """
-
-    id: int
-    center: np.ndarray
-    half_sides: np.ndarray
-    value: float
-    slopes: np.ndarray
-
-    @property
-    def half_diagonal(self) -> float:
-        """Distance from the center to a vertex, ``norm(half_sides)``."""
-        return float(np.linalg.norm(self.half_sides))
-
-
 class PartitionLedger:
     """Append-only, column-stacked store of every partition created so far.
 
-    Rows are never deleted: dividing a partition shrinks its half sides in
-    place and appends the new children, so the set of rows always tiles the
-    unit cube.  Ids are dense ``0..count-1`` and never reused.
+    The size of a row is its level vector: side ``j`` has been trisected
+    ``levels[j]`` times.  Only longest sides are ever cut, so the levels of
+    a row lie in ``{k, k + 1}`` for some ``k``; ``append`` rejects any other
+    row.  Each row caches its half diagonal and its depth ``levels.sum()``.
+    Rows of equal depth have the same sides up to order, and a greater
+    depth means a strictly smaller box.  Slope rows hold nonnegative
+    absolute difference quotients along each axis, in objective units per
+    normalized length.
+
+    Rows are never deleted: dividing a partition trisects it in place and
+    appends the new children, so the set of rows always tiles the unit
+    cube.  Ids are dense ``0..count-1`` and never reused.
     """
 
     def __init__(self, dim: int, capacity: int = 64):
@@ -121,9 +123,11 @@ class PartitionLedger:
             raise ValueError("dimension must be >= 1")
         self._dim = dim
         self._centers = np.zeros((capacity, dim))
-        self._half_sides = np.zeros((capacity, dim))
+        self._levels = np.zeros((capacity, dim), dtype=np.int16)
         self._values = np.zeros(capacity)
         self._slopes = np.zeros((capacity, dim))
+        self._half_diagonals = np.zeros(capacity)
+        self._depths = np.zeros(capacity, dtype=np.int64)
         self._count = 0
 
     def __len__(self) -> int:
@@ -139,8 +143,19 @@ class PartitionLedger:
         return self._centers[: self._count]
 
     @property
+    def levels(self) -> np.ndarray:
+        """View of the trisection level of every side, shape (count, dim)."""
+        return self._levels[: self._count]
+
+    @property
     def half_sides(self) -> np.ndarray:
-        return self._half_sides[: self._count]
+        """Half side lengths ``HALF_SIDES[levels]``, as a new array."""
+        return HALF_SIDES[self.levels]
+
+    @property
+    def depths(self) -> np.ndarray:
+        """View of every row's total level ``levels.sum()``."""
+        return self._depths[: self._count]
 
     @property
     def values(self) -> np.ndarray:
@@ -152,39 +167,49 @@ class PartitionLedger:
 
     def _grow(self):
         cap = max(2 * self._centers.shape[0], 64)
-        for name in ("_centers", "_half_sides", "_slopes"):
-            new = np.zeros((cap, self._dim))
-            new[: self._count] = getattr(self, name)[: self._count]
+        for name in ("_centers", "_levels", "_values", "_slopes", "_half_diagonals", "_depths"):
+            old = getattr(self, name)
+            new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+            new[: self._count] = old[: self._count]
             setattr(self, name, new)
-        new_vals = np.zeros(cap)
-        new_vals[: self._count] = self._values[: self._count]
-        self._values = new_vals
 
-    def append(self, center, half_sides, value: float, slopes=None) -> int:
+    def _cache_size(self, pid: int):
+        # the axis-1 norm of a one-row block has the bits of the same row's
+        # norm within a whole-matrix np.linalg.norm(half_sides, axis=1)
+        self._half_diagonals[pid] = np.linalg.norm(HALF_SIDES[self._levels[pid : pid + 1]], axis=1)[0]
+        self._depths[pid] = self._levels[pid].sum()
+
+    def append(self, center, levels, value: float, slopes=None) -> int:
+        levels = np.asarray(levels)
+        if not np.issubdtype(levels.dtype, np.integer) or levels.shape != (self._dim,):
+            raise ValueError(f"levels must be {self._dim} integers, got {levels!r}")
+        low, high = levels.min(), levels.max()
+        if low < 0 or high > low + 1 or high > MAX_LEVEL:
+            raise ValueError(f"levels {levels} are not {{k, k + 1}} within 0..{MAX_LEVEL}")
         if self._count == self._centers.shape[0]:
             self._grow()
         i = self._count
         self._centers[i] = np.asarray(center, dtype=float)
-        self._half_sides[i] = np.asarray(half_sides, dtype=float)
+        self._levels[i] = levels
         self._values[i] = float(value)
         self._slopes[i] = 0.0 if slopes is None else np.asarray(slopes, dtype=float)
+        self._cache_size(i)
         self._count += 1
         return i
 
-    def partition(self, pid: int) -> Partition:
-        """Detached copy of one row."""
+    def trisect(self, pid: int, coord: int):
+        """Cut side ``coord`` of partition ``pid`` into thirds, keeping the middle.
+
+        Only a longest side may be cut.  Past MAX_LEVEL the level stays put,
+        as the half side has already reached 0.0.
+        """
         if not 0 <= pid < self._count:
             raise IndexError(f"no partition with id {pid}")
-        return Partition(
-            id=pid,
-            center=self._centers[pid].copy(),
-            half_sides=self._half_sides[pid].copy(),
-            value=float(self._values[pid]),
-            slopes=self._slopes[pid].copy(),
-        )
-
-    def set_half_side(self, pid: int, coord: int, value: float):
-        self._half_sides[pid, coord] = value
+        row = self._levels[pid]
+        if row[coord] != row.min():
+            raise ValueError(f"side {coord} of partition {pid} is not a longest side")
+        row[coord] = min(row[coord] + 1, MAX_LEVEL)
+        self._cache_size(pid)
 
     def set_slope(self, pid: int, coord: int, value: float):
         if value < 0.0:
@@ -198,8 +223,8 @@ class PartitionLedger:
         self._slopes[pid] = row
 
     def half_diagonals(self) -> np.ndarray:
-        """Per-partition distance from center to vertex."""
-        return np.linalg.norm(self.half_sides, axis=1)
+        """View of every row's distance from center to vertex."""
+        return self._half_diagonals[: self._count]
 
     def total_volume(self) -> float:
         """Sum of box volumes; equals 1 whenever the rows tile the cube."""

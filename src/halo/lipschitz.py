@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import Partition, PartitionLedger
+from .geometry import PartitionLedger
 from .partitioning import SamplePlan
 
 
@@ -53,39 +53,27 @@ def global_slope_max(ledger: PartitionLedger) -> float:
     return float(slope_norms(ledger).max())
 
 
-def blend(alpha: float, global_constant: float, slope_norm: float) -> float:
+def blend(alpha, global_constant, slope_norm):
     """Convex combination ``alpha * global + (1 - alpha) * local``.
 
     ``alpha`` is the partition's diagonal relative to the cube diagonal, so
     large boxes lean on the global estimate and small boxes on their own
-    slopes.  The result always lies between the two arguments.
+    slopes.  The result always lies between the two arguments.  Works on
+    floats and elementwise on arrays.
     """
     return alpha * global_constant + (1.0 - alpha) * slope_norm
 
 
-def partition_alpha(part: Partition) -> float:
-    """Diagonal of ``part`` over the cube diagonal sqrt(N); 1 at the root."""
-    n = part.half_sides.size
-    return min(2.0 * part.half_diagonal / float(np.sqrt(n)), 1.0)
-
-
-def blend_local_constant(part: Partition, global_constant: float) -> float:
-    """Local Lipschitz constant estimate for one partition."""
-    return blend(partition_alpha(part), global_constant, float(np.linalg.norm(part.slopes)))
-
-
 def blend_constants(ledger: PartitionLedger, global_constant: float) -> np.ndarray:
-    """Vectorized ``blend_local_constant`` over the whole ledger."""
-    norms = slope_norms(ledger)
+    """Local Lipschitz constant estimate of every partition.
+
+    Each ``alpha`` is the box diagonal over the cube diagonal sqrt(N),
+    capped at 1, which the root reaches.
+    """
     alphas = np.minimum(2.0 * ledger.half_diagonals() / np.sqrt(ledger.dim), 1.0)
-    return alphas * global_constant + (1.0 - alphas) * norms
-
-
-def lower_bound(part: Partition, local_constant: float) -> float:
-    """Optimistic value the partition could contain: f(center) - L * halfdiag."""
-    return part.value - local_constant * part.half_diagonal
+    return blend(alphas, global_constant, slope_norms(ledger))
 
 
 def lower_bounds(ledger: PartitionLedger, constants: np.ndarray) -> np.ndarray:
-    """Vectorized lower bound for every partition."""
+    """Optimistic value every partition could contain: f(center) - L * halfdiag."""
     return ledger.values - constants * ledger.half_diagonals()

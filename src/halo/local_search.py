@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ObjectiveHandle, PartitionLedger
+from .geometry import HALF_SIDES, ObjectiveHandle, PartitionLedger
 from .partitioning import OnEval
 
 RUN = "run"
@@ -60,7 +60,8 @@ def gate_local_search(
     join the registry; otherwise the candidate is only registered and is
     neither sampled nor divided this iteration.
     """
-    half_diag = float(np.linalg.norm(ledger.half_sides[candidate_id]))
+    # the 1-d norm, which can differ from half_diagonals() in the last bit
+    half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[candidate_id]]))
     if half_diag > registry.beta:
         return SELECT_FOR_DIVISION
     center = ledger.centers[candidate_id]

@@ -9,7 +9,6 @@ into one nonnegative vector per problem that sums to one.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
@@ -195,7 +194,6 @@ def build_report(rows: list[RunRecord], cfg: SolverConfig, metadata: Optional[di
         "local_search_enabled": cfg.local_search_enabled,
         "direct_epsilon_rel": cfg.direct_epsilon_rel,
         "average_evals_note": "average over solved runs only; failed runs excluded",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
     if metadata:
         meta.update(metadata)

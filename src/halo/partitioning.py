@@ -4,6 +4,7 @@ The scheme keeps the parent's center: new points are placed at distance
 ``delta = (2/3) * s_max`` on both sides of the center along every longest
 coordinate, then the box is cut into thirds along those coordinates, one
 coordinate at a time, so the best new value ends up in the largest child.
+The longest sides of a box are those at its lowest trisection level.
 """
 
 from __future__ import annotations
@@ -13,13 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import (
-    SIDE_REL_TOL,
-    BudgetExhaustedError,
-    ObjectiveHandle,
-    Partition,
-    PartitionLedger,
-)
+from .geometry import HALF_SIDES, BudgetExhaustedError, ObjectiveHandle, PartitionLedger
 
 OnEval = Callable[[np.ndarray, float], None]
 
@@ -46,15 +41,9 @@ class SamplePlan:
         return 2 * len(self.coords)
 
 
-def longest_side_coords(half_sides: np.ndarray) -> list[int]:
-    """Indices attaining the maximum half side, ties within SIDE_REL_TOL."""
-    s_max = float(half_sides.max())
-    return [int(i) for i in np.flatnonzero(half_sides >= s_max * (1.0 - SIDE_REL_TOL))]
-
-
-def longest_sides(part: Partition) -> set[int]:
-    """Coordinate set where ``part`` has its longest side."""
-    return set(longest_side_coords(part.half_sides))
+def longest_side_coords(levels: np.ndarray) -> list[int]:
+    """Ascending indices of the longest sides: those at the lowest level."""
+    return [int(i) for i in np.flatnonzero(levels == levels.min())]
 
 
 def init_root(obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> PartitionLedger:
@@ -65,7 +54,7 @@ def init_root(obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> Partiti
     value = obj.eval_normalized(center)
     if on_eval is not None:
         on_eval(center, value)
-    ledger.append(center, np.full(n, 0.5), value)
+    ledger.append(center, np.zeros(n, dtype=int), value)
     return ledger
 
 
@@ -84,9 +73,9 @@ def sample_partition(
     would break the tiling of the cube.
     """
     center = ledger.centers[pid].copy()
-    sides = ledger.half_sides[pid]
-    coords = longest_side_coords(sides)
-    delta = 2.0 * float(sides.max()) / 3.0
+    levels = ledger.levels[pid]
+    coords = longest_side_coords(levels)
+    delta = 2.0 * float(HALF_SIDES[levels.min()]) / 3.0
     if max_fun_evals is not None and obj.eval_count + 2 * len(coords) > max_fun_evals:
         raise BudgetExhaustedError(
             f"sampling partition {pid} needs {2 * len(coords)} evaluations, "
@@ -131,8 +120,8 @@ def divide_partition(
     """Trisect partition ``pid`` along ``order``, appending 2 children per cut.
 
     Processing one coordinate at a time, the current box around the parent
-    center is split into three slabs: the parent keeps the middle (its half
-    side drops to ``s_max / 3``) and the two sampled points become centers
+    center is split into three slabs: the parent keeps the middle (its level
+    on that side rises by one) and the two sampled points become centers
     of the outer slabs, which inherit the box extents as they stand at that
     step.  Returns the new ids in creation order (plus point first).
     """
@@ -142,13 +131,11 @@ def divide_partition(
         coord: (plan.points_plus[i], plan.points_minus[i], plan.values_plus[i], plan.values_minus[i])
         for i, coord in enumerate(plan.coords)
     }
-    # new half side produced by one further division by 3, kept exact
-    new_half = float(ledger.half_sides[pid].max()) / 3.0
     child_ids: list[int] = []
     for coord in order:
-        ledger.set_half_side(pid, coord, new_half)
-        current_sides = ledger.half_sides[pid].copy()
+        ledger.trisect(pid, coord)
+        levels = ledger.levels[pid]
         xp, xm, fp, fm = by_coord[coord]
-        child_ids.append(ledger.append(xp, current_sides, fp))
-        child_ids.append(ledger.append(xm, current_sides, fm))
+        child_ids.append(ledger.append(xp, levels, fp))
+        child_ids.append(ledger.append(xm, levels, fm))
     return child_ids

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SIDE_REL_TOL, PartitionLedger
+from .geometry import PartitionLedger
 from .lipschitz import lower_bounds
 
 
@@ -45,8 +45,8 @@ def select_halo(
 
     Criterion 1: the lowest lower bound over all partitions.
     Criterion 2: the lowest objective value.
-    Criterion 3: among the partitions of maximal half diagonal, the lowest
-    lower bound (or, with ``criterion3_by_constant``, the lowest local
+    Criterion 3: among the largest partitions (least depth, so maximal half
+    diagonal), the lowest lower bound (or, with ``criterion3_by_constant``, the lowest local
     constant -- an alternative reading kept behind a switch).
 
     Argmin ties break toward the lowest id.  The chosen list keeps the
@@ -56,13 +56,12 @@ def select_halo(
     if len(ledger) == 0:
         raise ValueError("ledger is empty")
     values = ledger.values
-    diags = ledger.half_diagonals()
+    depths = ledger.depths
     bounds = lower_bounds(ledger, constants)
 
     q1 = int(np.argmin(bounds))
     q2 = int(np.argmin(values))
-    max_diag = float(diags.max())
-    in_max = np.flatnonzero(diags >= max_diag * (1.0 - SIDE_REL_TOL))
+    in_max = np.flatnonzero(depths == depths.min())
     inner = constants if criterion3_by_constant else bounds
     q3 = int(in_max[np.argmin(inner[in_max])])
 
@@ -91,19 +90,21 @@ def select_hlo(
     return select_halo(ledger, constants, criterion3_by_constant=criterion3_by_constant)
 
 
-def _size_classes(diags: np.ndarray) -> list[np.ndarray]:
-    """Group partition ids by half diagonal within SIDE_REL_TOL, ascending."""
-    order = np.argsort(diags, kind="stable")
-    classes: list[list[int]] = []
-    rep = None
-    for idx in order:
-        d = diags[idx]
-        if rep is None or d > rep * (1.0 + SIDE_REL_TOL):
-            classes.append([int(idx)])
-            rep = d
-        else:
-            classes[-1].append(int(idx))
-    return [np.asarray(c) for c in classes]
+def _size_classes(
+    depths: np.ndarray, diags: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group rows by depth, i.e. by box size.
+
+    Returns each class's largest half diagonal (rows of one class can
+    differ in the last bit, as their sides come in different orders), its
+    lowest value, and the class index of every row.
+    """
+    order = np.argsort(depths, kind="stable")
+    sorted_depths = depths[order]
+    starts = np.flatnonzero(np.diff(sorted_depths, prepend=-1))
+    class_d = np.maximum.reduceat(diags[order], starts)
+    class_f = np.minimum.reduceat(values[order], starts)
+    return class_d, class_f, np.searchsorted(sorted_depths[starts], depths)
 
 
 def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> list[int]:
@@ -114,8 +115,8 @@ def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> l
     ``epsilon`` below the incumbent, with ``epsilon = epsilon_rel * |f_min|``
     (floored at 1e-8 when f_min is exactly 0 so the test is not vacuous).
     Equivalent to sitting on the lower-right convex hull of the
-    (half diagonal, value) cloud; computed here per size class through the
-    feasible-K interval of each class minimum.
+    (half diagonal, value) cloud; computed here per size class (rows of
+    equal depth) through the feasible-K interval of each class minimum.
     """
     if len(ledger) == 0:
         raise ValueError("ledger is empty")
@@ -126,12 +127,9 @@ def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> l
     if epsilon_rel > 0.0 and f_min == 0.0:
         eps_abs = 1e-8
 
-    classes = _size_classes(diags)
-    class_d = np.array([float(diags[c].max()) for c in classes])
-    class_f = np.array([float(values[c].min()) for c in classes])
-
-    chosen: list[int] = []
-    for i, ids in enumerate(classes):
+    class_d, class_f, row_class = _size_classes(ledger.depths, diags, values)
+    optimal = np.zeros(class_d.size, dtype=bool)
+    for i in range(class_d.size):
         d_i, f_i = class_d[i], class_f[i]
         below = class_d < d_i
         above = class_d > d_i
@@ -139,6 +137,6 @@ def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> l
         k_high = float(np.min((class_f[above] - f_i) / (class_d[above] - d_i))) if above.any() else np.inf
         k_eps = (f_i - (f_min - eps_abs)) / d_i
         k_need = max(k_low, k_eps)
-        if k_high > 0.0 and k_high >= k_need:
-            chosen.extend(int(j) for j in ids if values[j] == f_i)
-    return sorted(chosen)
+        optimal[i] = k_high > 0.0 and k_high >= k_need
+    hit = optimal[row_class] & (values == class_f[row_class])
+    return [int(j) for j in np.flatnonzero(hit)]

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import (
+    HALF_SIDES,
     BudgetExhaustedError,
     ObjectiveError,
     ObjectiveHandle,
@@ -112,20 +113,6 @@ def _is_solved(best: float, known_optimum: Optional[float], tol: float) -> bool:
     return relative_error(best, known_optimum) <= tol
 
 
-def check_stop(trace: RunTrace, obj: ObjectiveHandle, stop: StopRule) -> Optional[str]:
-    """Status the run should take now, or None to keep going.
-
-    Solved means the incumbent is within ``rel_error_tol`` of the known
-    optimum (absolute comparison when the optimum is within 1e-12 of zero);
-    the budget is exhausted once ``eval_count`` reaches ``max_fun_evals``.
-    """
-    if _is_solved(trace.best_value, obj.known_optimum, stop.rel_error_tol):
-        return STATUS_SOLVED
-    if obj.eval_count >= stop.max_fun_evals:
-        return STATUS_BUDGET
-    return None
-
-
 def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     """Run the configured variant on ``obj`` until a stop rule fires.
 
@@ -205,7 +192,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                     if decision != SELECT_FOR_DIVISION:
                         if decision == RUN:
                             n_local += 1
-                            half_diag = float(np.linalg.norm(ledger.half_sides[pid]))
+                            half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[pid]]))
                             remaining = stop.max_fun_evals - obj.eval_count
                             mark = len(evals)
                             try:

@@ -5,10 +5,6 @@ import pytest
 
 from halo.geometry import BoxDomain, ObjectiveHandle, PartitionLedger
 
-# Half-side values reachable by repeated trisection from 1/2.
-TRISECTION_PALETTE = [0.5 / 3**m for m in range(4)]
-
-
 def make_handle(fn, lower, upper, known_optimum=None, known_minimizer=None):
     return ObjectiveHandle(
         evaluator=fn,
@@ -22,22 +18,40 @@ def unit_handle(fn, n, known_optimum=None):
     return make_handle(fn, np.zeros(n), np.ones(n), known_optimum=known_optimum)
 
 
+def random_levels(rng, n, max_level=3):
+    """A reachable level row: some k, with a random subset of sides at k + 1."""
+    return int(rng.integers(0, max_level + 1)) + rng.integers(0, 2, size=n)
+
+
 def random_ledger(rng, n, count):
-    """Ledger with trisection-exact sizes and random values/slopes.
+    """Ledger with reachable trisection sizes and random values/slopes.
 
     Centers are arbitrary: selection rules only read sizes, values and
     slopes, so the rows need not tile the cube.
     """
     ledger = PartitionLedger(n)
     for _ in range(count):
-        sides = rng.choice(TRISECTION_PALETTE, size=n)
         ledger.append(
             rng.uniform(0.0, 1.0, n),
-            sides,
+            random_levels(rng, n),
             rng.uniform(-5.0, 5.0),
             rng.uniform(0.0, 3.0, n),
         )
     return ledger
+
+
+def class_diagonals(ledger):
+    """Half diagonal per row, the same for every row of one depth.
+
+    Rows of equal depth have the same sides in different orders, so their
+    norms can differ in the last bit.  Fed those raw values, a K-grid
+    oracle sees two box sizes 1e-16 apart and a rate constant near 1e16
+    between them, at which rounding ties every score.  Each row gets the
+    largest diagonal of its depth, the value selection uses for the class.
+    """
+    diags = ledger.half_diagonals()
+    depths = ledger.depths
+    return [float(diags[depths == d].max()) for d in depths]
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ separate from the vectorized code under test.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -79,3 +81,15 @@ def kgrid_potentially_optimal(values, diags, epsilon_rel, n_grid=10_000):
     row_min = scores.min(axis=1)
     hit = (scores == row_min[:, None]) & (scores <= f_min - eps_abs)
     return set(int(i) for i in np.flatnonzero(hit.any(axis=0)))
+
+
+def blend_local_constant(half_sides, slopes, global_constant: float) -> float:
+    """Local Lipschitz constant of one box from its half sides and slope row.
+
+    ``alpha`` is the box diagonal over the cube diagonal sqrt(N), capped at
+    1; the result is ``alpha * global + (1 - alpha) * |slopes|``.
+    """
+    half_diagonal = math.sqrt(math.fsum(float(s) ** 2 for s in half_sides))
+    slope_norm = math.sqrt(math.fsum(float(s) ** 2 for s in slopes))
+    alpha = min(2.0 * half_diagonal / math.sqrt(len(half_sides)), 1.0)
+    return alpha * global_constant + (1.0 - alpha) * slope_norm

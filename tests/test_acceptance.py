@@ -29,7 +29,7 @@ from halo.problems import classical_problem, rastrigin, shift_minimizer
 from halo.selection import select_halo, select_potentially_optimal
 from halo.solver import SolverConfig, run
 
-from conftest import random_ledger, unit_handle
+from conftest import class_diagonals, random_ledger, unit_handle
 from oracles import brute_force_halo_selection, kgrid_potentially_optimal
 
 SCHOEN30 = "benchmarks/schoen30.jsonl"
@@ -143,7 +143,7 @@ def test_criterion_4_selection_oracle_equivalence():
 
             got = set(select_potentially_optimal(ledger, 1e-4))
             oracle = kgrid_potentially_optimal(
-                ledger.values.tolist(), ledger.half_diagonals().tolist(), 1e-4, n_grid=10_000
+                ledger.values.tolist(), class_diagonals(ledger), 1e-4, n_grid=10_000
             )
             assert got == oracle
 

@@ -1,8 +1,7 @@
 """The committed benchmark manifests must replay and regenerate exactly."""
 
+import importlib.util
 import pathlib
-import subprocess
-import sys
 
 from halo.manifest import classical_manifest, load_manifest, problem_from_record, schoen_manifest
 from halo.serialize import dumps
@@ -35,10 +34,14 @@ def test_manifests_replay():
             assert problem.n == record["n"]
 
 
-def test_make_benchmarks_script_runs(tmp_path):
-    script = ROOT / "scripts" / "make_benchmarks.py"
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, cwd=ROOT
-    )
-    assert out.returncode == 0, out.stderr
-    assert "30 problems" in out.stdout and "20 problems" in out.stdout
+def test_make_benchmarks_script_runs(tmp_path, monkeypatch, capsys):
+    # run the script into tmp_path: the committed files must stay untouched
+    spec = importlib.util.spec_from_file_location("make_benchmarks", ROOT / "scripts" / "make_benchmarks.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "BENCH_DIR", tmp_path)
+    script.main()
+    out = capsys.readouterr().out
+    assert "30 problems" in out and "20 problems" in out
+    for committed in (SCHOEN30, CLASSICAL20):
+        assert (tmp_path / committed.name).read_bytes() == committed.read_bytes()

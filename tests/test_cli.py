@@ -1,4 +1,5 @@
 import json
+import time
 
 from click.testing import CliRunner
 
@@ -39,6 +40,22 @@ def test_gen_bench_report_round_trip(tmp_path):
     cs = [float(line.split(",")[1]) for line in rows[1:]]
     assert all(b >= a for a, b in zip(cs, cs[1:]))
     assert imp_csv.read_text().splitlines()[0] == "problem,variant,coordinate,importance"
+
+
+def test_bench_output_is_byte_identical_across_runs(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    invoke("gen", "--family", "schoen", "--n", "2", "--count", "2", "--seed", "0",
+           "--out", str(manifest))
+    for name in ("a", "b"):
+        if name == "b":
+            time.sleep(1.0)  # a wall-clock stamp in the output would differ
+        (tmp_path / name).mkdir()
+        invoke("bench", "--manifest", str(manifest), "--budget", "300",
+               "--out", str(tmp_path / name / "report.json"))
+    for suffix in (".json", ".csv"):
+        a = (tmp_path / "a" / "report").with_suffix(suffix).read_bytes()
+        b = (tmp_path / "b" / "report").with_suffix(suffix).read_bytes()
+        assert a == b
 
 
 def test_solve_named_problem_with_trace(tmp_path):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halo.geometry import (
+    HALF_SIDES,
+    MAX_LEVEL,
     BoxDomain,
     DomainViolationError,
     ObjectiveError,
@@ -129,29 +131,26 @@ def test_objective_error_wraps_and_does_not_count():
 
 def test_ledger_ids_dense_and_append_only():
     ledger = PartitionLedger(2)
-    ids = [ledger.append(np.full(2, 0.5), np.full(2, 0.5), float(i)) for i in range(100)]
+    ids = [ledger.append(np.full(2, 0.5), [0, 0], float(i)) for i in range(100)]
     assert ids == list(range(100))
     assert len(ledger) == 100
     # growth must preserve earlier rows
     assert ledger.values[0] == 0.0 and ledger.values[99] == 99.0
-    part = ledger.partition(5)
-    assert part.id == 5
-    assert part.half_diagonal == pytest.approx(np.sqrt(2.0) / 2.0)
+    assert ledger.half_diagonals()[5] == pytest.approx(np.sqrt(2.0) / 2.0)
 
 
 def test_ledger_partition_copies_are_detached():
     ledger = PartitionLedger(1)
-    ledger.append([0.5], [0.5], 1.0, [2.0])
-    part = ledger.partition(0)
-    part.center[0] = 0.0
-    part.slopes[0] = 99.0
-    assert ledger.centers[0][0] == 0.5
-    assert ledger.slopes[0][0] == 2.0
+    ledger.append([0.5], [0], 1.0, [2.0])
+    sides = ledger.half_sides
+    sides[0, 0] = 99.0
+    assert ledger.half_sides[0, 0] == 0.5
+    assert ledger.half_diagonals()[0] == 0.5
 
 
 def test_ledger_rejects_negative_slopes():
     ledger = PartitionLedger(1)
-    ledger.append([0.5], [0.5], 1.0)
+    ledger.append([0.5], [0], 1.0)
     with pytest.raises(ValueError):
         ledger.set_slope(0, 0, -1.0)
     with pytest.raises(ValueError):
@@ -160,5 +159,45 @@ def test_ledger_rejects_negative_slopes():
 
 def test_root_volume():
     ledger = PartitionLedger(3)
-    ledger.append(np.full(3, 0.5), np.full(3, 0.5), 0.0)
+    ledger.append(np.full(3, 0.5), np.zeros(3, dtype=int), 0.0)
     assert ledger.total_volume() == pytest.approx(1.0)
+
+
+def test_half_side_table_is_repeated_division_to_underflow():
+    side = 0.5
+    for level in range(MAX_LEVEL + 1):
+        assert HALF_SIDES[level] == side
+        side /= 3.0
+    assert MAX_LEVEL == 678
+    assert HALF_SIDES[MAX_LEVEL] == 0.0 < HALF_SIDES[MAX_LEVEL - 1]
+
+
+def test_ledger_rejects_unreachable_levels():
+    ledger = PartitionLedger(2)
+    for bad in ([0, 2], [-1, 0], [MAX_LEVEL, MAX_LEVEL + 1], [0.5, 0.5], [0, 0, 0]):
+        with pytest.raises(ValueError):
+            ledger.append([0.5, 0.5], bad, 0.0)
+    assert len(ledger) == 0
+    ledger.append([0.5, 0.5], [3, 4], 0.0)
+    assert ledger.depths.tolist() == [7]
+
+
+def test_trisect_cuts_only_longest_sides_and_refreshes_caches():
+    ledger = PartitionLedger(3)
+    ledger.append(np.full(3, 0.5), [0, 0, 0], 0.0)
+    ledger.trisect(0, 1)
+    assert ledger.levels[0].tolist() == [0, 1, 0]
+    assert ledger.depths[0] == 1
+    assert ledger.half_diagonals()[0] == np.linalg.norm(ledger.half_sides, axis=1)[0]
+    with pytest.raises(ValueError):
+        ledger.trisect(0, 1)  # no longer a longest side
+    with pytest.raises(IndexError):
+        ledger.trisect(1, 0)
+
+
+def test_trisect_stops_at_the_underflow_level():
+    ledger = PartitionLedger(1)
+    ledger.append([0.5], [MAX_LEVEL], 0.0)
+    ledger.trisect(0, 0)
+    assert ledger.levels[0, 0] == MAX_LEVEL
+    assert ledger.half_diagonals()[0] == 0.0

@@ -1,0 +1,67 @@
+"""Ledger invariants on whole solver runs over random objectives and budgets."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halo.geometry import StopRule
+from halo.solver import VARIANTS, SolverConfig, run
+
+from conftest import unit_handle
+
+
+def random_objective(seed: int, n: int):
+    """A smooth multimodal function with seeded coefficients."""
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(0.0, 1.0, n)
+    weights = rng.uniform(0.1, 10.0, n)
+    freqs = rng.uniform(1.0, 20.0, n)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n)
+    return lambda x: float(np.sum(weights * (x - center) ** 2 + np.cos(freqs * x + phases)))
+
+
+def tolerance_classes(diags: np.ndarray) -> set[frozenset[int]]:
+    """Rows grouped by half diagonal within a relative 1e-12, scanning ascending."""
+    classes: list[list[int]] = []
+    rep = None
+    for i in np.argsort(diags, kind="stable"):
+        if rep is None or diags[i] > rep * (1.0 + 1e-12):
+            classes.append([])
+            rep = diags[i]
+        classes[-1].append(int(i))
+    return {frozenset(c) for c in classes}
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    budget=st.integers(min_value=1, max_value=400),
+    variant=st.sampled_from(VARIANTS),
+    local_search=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_search):
+    cfg = SolverConfig(variant=variant, beta=1e-2, local_search_enabled=local_search,
+                       stop=StopRule(max_fun_evals=budget))
+    ledger = run(unit_handle(random_objective(seed, n), n), cfg).ledger
+    levels = ledger.levels
+    depths = ledger.depths
+
+    # the sides of every box lie at trisection levels {k, k + 1}
+    assert levels.min() >= 0
+    assert (levels.max(axis=1) - levels.min(axis=1) <= 1).all()
+    assert depths.tolist() == levels.sum(axis=1).tolist()
+
+    # the rows tile the cube exactly: a box of depth d has volume 3**-d
+    deepest = int(depths.max())
+    assert sum(3 ** (deepest - int(d)) for d in depths) == 3**deepest
+
+    # the cached half diagonals are the bits of a whole-matrix norm
+    diags = ledger.half_diagonals()
+    assert diags.tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
+
+    # integer size classes are the old tolerance classes of the diagonals
+    by_depth = {frozenset(np.flatnonzero(depths == d).tolist()) for d in set(depths.tolist())}
+    assert by_depth == tolerance_classes(diags)

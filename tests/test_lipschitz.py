@@ -7,15 +7,14 @@ from halo.geometry import PartitionLedger
 from halo.lipschitz import (
     blend,
     blend_constants,
-    blend_local_constant,
     global_slope_max,
-    lower_bound,
+    lower_bounds,
     update_slopes_on_division,
 )
 from halo.partitioning import division_order, divide_partition, init_root, sample_partition
 
 from conftest import unit_handle
-from oracles import central_difference
+from oracles import blend_local_constant, central_difference
 
 
 def divide_once(h, ledger, pid):
@@ -84,28 +83,27 @@ def test_rectangle_division_leaves_other_coordinates_unchanged():
 
 def test_global_slope_max_345():
     ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0.5, 0.5], 0.0, [3.0, 4.0])
+    ledger.append([0.5, 0.5], [0, 0], 0.0, [3.0, 4.0])
     assert global_slope_max(ledger) == pytest.approx(5.0)
 
 
 def test_global_slope_max_zero():
     ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0.5, 0.5], 0.0)
+    ledger.append([0.5, 0.5], [0, 0], 0.0)
     assert global_slope_max(ledger) == 0.0
 
 
 def test_global_slope_max_two_rows():
     ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0.5, 0.5], 0.0, [1.0, 0.0])
-    ledger.append([0.5, 0.5], [0.5, 0.5], 0.0, [0.0, 2.0])
+    ledger.append([0.5, 0.5], [0, 0], 0.0, [1.0, 0.0])
+    ledger.append([0.5, 0.5], [1, 1], 0.0, [0.0, 2.0])
     assert global_slope_max(ledger) == pytest.approx(2.0)
 
 
 def test_blend_root_alpha_one_returns_global():
     ledger = PartitionLedger(3)
-    ledger.append(np.full(3, 0.5), np.full(3, 0.5), 0.0, [1.0, 1.0, 1.0])
-    part = ledger.partition(0)
-    assert blend_local_constant(part, 12.5) == 12.5
+    ledger.append(np.full(3, 0.5), [0, 0, 0], 0.0, [1.0, 1.0, 1.0])
+    assert blend_constants(ledger, 12.5).tolist() == [12.5]
 
 
 def test_blend_midpoint():
@@ -130,15 +128,14 @@ def test_blend_bracketing_property(alpha, g, s):
 
 
 def test_lower_bound_examples():
-    ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0.15, 0.2], 1.0)  # half diagonal 0.25
-    part = ledger.partition(0)
-    assert part.half_diagonal == pytest.approx(0.25)
-    assert lower_bound(part, 2.0) == pytest.approx(0.5)
-    assert lower_bound(part, 0.0) == pytest.approx(1.0)
+    ledger = PartitionLedger(1)
+    ledger.append([0.5], [1], 1.0)  # half diagonal 1/6
+    assert ledger.half_diagonals()[0] == pytest.approx(1.0 / 6.0)
+    assert lower_bounds(ledger, np.array([3.0]))[0] == pytest.approx(0.5)
+    assert lower_bounds(ledger, np.array([0.0]))[0] == pytest.approx(1.0)
     root = PartitionLedger(2)
-    root.append([0.5, 0.5], [0.5, 0.5], 0.0)
-    assert lower_bound(root.partition(0), 1.0) == pytest.approx(-np.sqrt(2.0) / 2.0)
+    root.append([0.5, 0.5], [0, 0], 0.0)
+    assert lower_bounds(root, np.array([1.0]))[0] == pytest.approx(-np.sqrt(2.0) / 2.0)
 
 
 def test_blend_constants_matches_scalar_loop(rng):
@@ -148,7 +145,8 @@ def test_blend_constants_matches_scalar_loop(rng):
     g = global_slope_max(ledger)
     vector = blend_constants(ledger, g)
     for i in range(len(ledger)):
-        assert vector[i] == pytest.approx(blend_local_constant(ledger.partition(i), g), rel=1e-14)
+        oracle = blend_local_constant(ledger.half_sides[i], ledger.slopes[i], g)
+        assert vector[i] == pytest.approx(oracle, rel=1e-14)
 
 
 def test_affine_slopes_exact_through_run():

@@ -14,16 +14,17 @@ from halo.solver import SolverConfig, run
 from conftest import unit_handle
 
 
-def small_ledger(centers, half=5e-5):
+def small_ledger(centers, level=9):
+    # level 9: half sides 2.5e-5, half diagonal 3.6e-5, below beta = 1e-4
     ledger = PartitionLedger(2)
     for c in centers:
-        ledger.append(c, [half, half], 0.0)
+        ledger.append(c, [level, level], 0.0)
     return ledger
 
 
 def test_gate_large_partition_divides():
     ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0.3 / np.sqrt(2), 0.3 / np.sqrt(2)], 0.0)
+    ledger.append([0.5, 0.5], [1, 1], 0.0)  # half diagonal 0.24
     registry = ExclusionRegistry(beta=1e-4)
     assert gate_local_search(0, ledger, registry) == SELECT_FOR_DIVISION
     assert registry.members == set()

@@ -90,8 +90,8 @@ def test_oc_nondecreasing_step_function(outcomes):
 
 def test_variable_importance_mean_rows():
     ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0.5, 0.5], 0.0, [2.0, 1.0])
-    ledger.append([0.5, 0.5], [0.5, 0.5], 0.0, [4.0, 1.0])
+    ledger.append([0.5, 0.5], [0, 0], 0.0, [2.0, 1.0])
+    ledger.append([0.5, 0.5], [0, 0], 0.0, [4.0, 1.0])
     vi = variable_importance(ledger)
     assert np.allclose(vi, [0.75, 0.25])
     assert math.fsum(vi) == pytest.approx(1.0, abs=1e-12)
@@ -99,13 +99,13 @@ def test_variable_importance_mean_rows():
 
 def test_variable_importance_single_row():
     ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0.5, 0.5], 0.0, [0.0, 5.0])
+    ledger.append([0.5, 0.5], [0, 0], 0.0, [0.0, 5.0])
     assert np.allclose(variable_importance(ledger), [0.0, 1.0])
 
 
 def test_variable_importance_degenerate_uniform():
     ledger = PartitionLedger(4)
-    ledger.append(np.full(4, 0.5), np.full(4, 0.5), 0.0)
+    ledger.append(np.full(4, 0.5), [0, 0, 0, 0], 0.0)
     assert np.allclose(variable_importance(ledger), 0.25)
 
 

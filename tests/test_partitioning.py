@@ -6,7 +6,7 @@ from halo.partitioning import (
     division_order,
     divide_partition,
     init_root,
-    longest_sides,
+    longest_side_coords,
     sample_partition,
 )
 from halo.solver import SolverConfig, run
@@ -19,18 +19,17 @@ def test_init_root_n2():
     ledger = init_root(h)
     assert len(ledger) == 1
     assert h.eval_count == 1
-    part = ledger.partition(0)
-    assert np.array_equal(part.center, [0.5, 0.5])
-    assert part.half_diagonal == pytest.approx(np.sqrt(2.0) / 2.0)
-    assert np.array_equal(part.slopes, np.zeros(2))
+    assert np.array_equal(ledger.centers[0], [0.5, 0.5])
+    assert ledger.half_diagonals()[0] == pytest.approx(np.sqrt(2.0) / 2.0)
+    assert np.array_equal(ledger.slopes[0], np.zeros(2))
 
 
 def test_init_root_n1():
     h = unit_handle(lambda x: 0.0, 1)
     ledger = init_root(h)
-    part = ledger.partition(0)
-    assert np.array_equal(part.center, [0.5])
-    assert np.array_equal(part.half_sides, [0.5])
+    assert np.array_equal(ledger.centers[0], [0.5])
+    assert np.array_equal(ledger.levels[0], [0])
+    assert np.array_equal(ledger.half_sides[0], [0.5])
 
 
 def test_init_root_n10():
@@ -43,22 +42,23 @@ def test_init_root_n10():
 def test_longest_sides_tie():
     h = unit_handle(lambda x: 0.0, 2)
     ledger = init_root(h)
-    assert longest_sides(ledger.partition(0)) == {0, 1}
+    assert longest_side_coords(ledger.levels[0]) == [0, 1]
 
 
 def test_longest_sides_single():
     h = unit_handle(lambda x: 0.0, 2)
     ledger = init_root(h)
-    ledger.set_half_side(0, 1, 1.0 / 6.0)
-    assert longest_sides(ledger.partition(0)) == {0}
+    ledger.trisect(0, 1)
+    assert ledger.half_sides[0, 1] == 1.0 / 6.0
+    assert longest_side_coords(ledger.levels[0]) == [0]
 
 
 def test_longest_sides_last_coord():
     h = unit_handle(lambda x: 0.0, 3)
     ledger = init_root(h)
-    ledger.set_half_side(0, 0, 1.0 / 6.0)
-    ledger.set_half_side(0, 1, 1.0 / 6.0)
-    assert longest_sides(ledger.partition(0)) == {2}
+    ledger.trisect(0, 0)
+    ledger.trisect(0, 1)
+    assert longest_side_coords(ledger.levels[0]) == [2]
 
 
 def test_sample_root_unit_square():
@@ -84,7 +84,7 @@ def test_sample_root_1d():
 def test_sample_rectangle_only_longest():
     h = unit_handle(lambda x: float(np.sum(x)), 2)
     ledger = init_root(h)
-    ledger.set_half_side(0, 0, 1.0 / 6.0)
+    ledger.trisect(0, 0)
     plan = sample_partition(ledger, 0, h)
     assert plan.coords == [1]
     assert plan.delta == pytest.approx(1.0 / 3.0)

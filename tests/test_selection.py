@@ -4,21 +4,21 @@ from halo.geometry import PartitionLedger
 from halo.lipschitz import blend_constants, global_slope_max
 from halo.selection import select_halo, select_hlo, select_potentially_optimal
 
-from conftest import random_ledger
+from conftest import class_diagonals, random_ledger, random_levels
 from oracles import brute_force_halo_selection, kgrid_potentially_optimal
 
 
 def ledger_from_rows(rows):
-    """rows: (half_sides, value, slopes) triples, all same dimension."""
+    """rows: (levels, value, slopes) triples, all same dimension."""
     n = len(rows[0][0])
     ledger = PartitionLedger(n)
-    for sides, value, slopes in rows:
-        ledger.append(np.full(n, 0.5), sides, value, slopes)
+    for levels, value, slopes in rows:
+        ledger.append(np.full(n, 0.5), levels, value, slopes)
     return ledger
 
 
 def test_single_partition_gets_all_flags():
-    ledger = ledger_from_rows([([0.5, 0.5], 1.0, [0.0, 0.0])])
+    ledger = ledger_from_rows([([0, 0], 1.0, [0.0, 0.0])])
     outcome = select_halo(ledger, np.array([0.0]))
     assert outcome.chosen == [0]
     reason = outcome.reasons[0]
@@ -27,7 +27,7 @@ def test_single_partition_gets_all_flags():
 
 def test_equal_diagonals_and_constants_pick_lower_value():
     ledger = ledger_from_rows(
-        [([0.5, 0.5], 1.0, [0.0, 0.0]), ([0.5, 0.5], 2.0, [0.0, 0.0])]
+        [([0, 0], 1.0, [0.0, 0.0]), ([0, 0], 2.0, [0.0, 0.0])]
     )
     outcome = select_halo(ledger, np.array([1.0, 1.0]))
     assert outcome.chosen == [0]
@@ -36,12 +36,12 @@ def test_equal_diagonals_and_constants_pick_lower_value():
 
 
 def test_three_partition_worked_example():
-    # A(value .9, halfdiag .1), B(1.0, .5), C(.5, .1), all constants 1:
-    # bounds A=.8 B=.5 C=.4 -> crit1=C, crit2=C, crit3=B
+    # A(value .9, levels (1, 1)), B(1.0, root), C(.5, levels (1, 1)); half
+    # diagonals .236, .707, .236 and all constants 1:
+    # bounds A=.664 B=.293 C=.264 -> crit1=C, crit2=C, crit3=B
     ledger = PartitionLedger(2)
-    for value, diag in ((0.9, 0.1), (1.0, 0.5), (0.5, 0.1)):
-        sides = np.full(2, diag / np.sqrt(2.0))  # half_sides with the given norm
-        ledger.append([0.5, 0.5], sides, value)
+    for value, level in ((0.9, 1), (1.0, 0), (0.5, 1)):
+        ledger.append([0.5, 0.5], [level, level], value)
     constants = np.ones(3)
     outcome = select_halo(ledger, constants)
     assert outcome.chosen == [2, 1]
@@ -54,14 +54,14 @@ def test_three_partition_worked_example():
 def test_hlo_three_partition_worked_example():
     # same ledger as above under the shared global constant 1: outcome {C, B}
     ledger = PartitionLedger(2)
-    for value, diag in ((0.9, 0.1), (1.0, 0.5), (0.5, 0.1)):
-        ledger.append([0.5, 0.5], np.full(2, diag / np.sqrt(2.0)), value)
+    for value, level in ((0.9, 1), (1.0, 0), (0.5, 1)):
+        ledger.append([0.5, 0.5], [level, level], value)
     outcome = select_hlo(ledger, 1.0)
     assert outcome.chosen == [2, 1]
 
 
 def test_hlo_single_partition():
-    ledger = ledger_from_rows([([0.5, 0.5], 1.0, [0.0, 0.0])])
+    ledger = ledger_from_rows([([0, 0], 1.0, [0.0, 0.0])])
     assert select_hlo(ledger, 3.0).chosen == [0]
 
 
@@ -91,10 +91,9 @@ def test_hlo_equals_halo_when_slope_norms_equal(rng):
         count = int(rng.integers(1, 15))
         norm = float(rng.uniform(0.5, 3.0))
         for _ in range(count):
-            sides = rng.choice([0.5, 0.5 / 3, 0.5 / 9], size=n)
             slopes = np.zeros(n)
             slopes[0] = norm  # every row has the same norm
-            ledger.append(rng.uniform(0, 1, n), sides, rng.uniform(-2, 2), slopes)
+            ledger.append(rng.uniform(0, 1, n), random_levels(rng, n, 1), rng.uniform(-2, 2), slopes)
         g = global_slope_max(ledger)
         constants = blend_constants(ledger, g)
         a = select_halo(ledger, constants)
@@ -111,7 +110,7 @@ def test_selection_scale_invariance(rng):
         for i in range(len(ledger)):
             scaled.append(
                 ledger.centers[i],
-                ledger.half_sides[i],
+                ledger.levels[i],
                 scale * ledger.values[i],
                 scale * ledger.slopes[i],
             )
@@ -131,8 +130,8 @@ def test_dedup_at_most_three(rng):
 def test_criterion3_by_constant_switch():
     # two max-diagonal partitions; bounds prefer one, constants the other
     ledger = PartitionLedger(1)
-    ledger.append([0.5], [0.5], 5.0, [0.2])   # low constant, bad bound
-    ledger.append([0.5], [0.5], 0.0, [3.0])   # high constant, good bound
+    ledger.append([0.5], [0], 5.0, [0.2])   # low constant, bad bound
+    ledger.append([0.5], [0], 0.0, [3.0])   # high constant, good bound
     constants = np.array([0.2, 3.0])
     by_bound = select_halo(ledger, constants)
     by_const = select_halo(ledger, constants, criterion3_by_constant=True)
@@ -143,27 +142,27 @@ def test_criterion3_by_constant_switch():
 
 
 def test_potentially_optimal_single():
-    ledger = ledger_from_rows([([0.5, 0.5], 1.0, [0.0, 0.0])])
+    ledger = ledger_from_rows([([0, 0], 1.0, [0.0, 0.0])])
     assert select_potentially_optimal(ledger, 1e-4) == [0]
 
 
 def test_potentially_optimal_dominated_same_size():
     ledger = ledger_from_rows(
-        [([0.5, 0.5], 1.0, [0.0, 0.0]), ([0.5, 0.5], 2.0, [0.0, 0.0])]
+        [([0, 0], 1.0, [0.0, 0.0]), ([0, 0], 2.0, [0.0, 0.0])]
     )
     assert select_potentially_optimal(ledger, 0.0) == [0]
 
 
 def test_potentially_optimal_three_point_hull():
-    # (halfdiag, value) = (0.1, 1.0), (0.2, 0.9), (0.3, 1.5) with eps = 0:
+    # (halfdiag, value) = (1/18, 1.0), (1/6, 0.9), (1/2, 1.5) with eps = 0:
     # the first point is cut off by the hull, the other two survive
     ledger = PartitionLedger(1)
-    ledger.append([0.5], [0.1], 1.0)
-    ledger.append([0.5], [0.2], 0.9)
-    ledger.append([0.5], [0.3], 1.5)
+    ledger.append([0.5], [2], 1.0)
+    ledger.append([0.5], [1], 0.9)
+    ledger.append([0.5], [0], 1.5)
     got = select_potentially_optimal(ledger, 0.0)
     assert got == [1, 2]
-    oracle = kgrid_potentially_optimal([1.0, 0.9, 1.5], [0.1, 0.2, 0.3], 0.0)
+    oracle = kgrid_potentially_optimal([1.0, 0.9, 1.5], [0.5 / 9, 0.5 / 3, 0.5], 0.0)
     assert set(got) == oracle
 
 
@@ -174,7 +173,7 @@ def test_potentially_optimal_kgrid_agreement(rng):
         for eps in (0.0, 1e-4):
             got = select_potentially_optimal(ledger, eps)
             oracle = kgrid_potentially_optimal(
-                ledger.values.tolist(), ledger.half_diagonals().tolist(), eps, n_grid=2000
+                ledger.values.tolist(), class_diagonals(ledger), eps, n_grid=2000
             )
             assert set(got) == oracle
         assert got == sorted(got)
@@ -183,8 +182,22 @@ def test_potentially_optimal_kgrid_agreement(rng):
 def test_potentially_optimal_epsilon_prunes_near_incumbent():
     # big box barely above f_min passes eps=0 but fails a huge eps
     ledger = PartitionLedger(1)
-    ledger.append([0.5], [0.5 / 3], 1.0)
-    ledger.append([0.5], [0.5], 1.0000001)
+    ledger.append([0.5], [1], 1.0)
+    ledger.append([0.5], [0], 1.0000001)
     assert select_potentially_optimal(ledger, 0.0) == [0, 1]
     got = select_potentially_optimal(ledger, 0.5)  # eps_abs = 0.5
     assert 0 not in got
+
+
+def test_permuted_sides_form_one_size_class():
+    # same sides in another order: the norms differ in the last bit, yet the
+    # boxes are one size, so the one with the lower value wins both rules
+    ledger = PartitionLedger(4)
+    ledger.append(np.full(4, 0.5), [1, 1, 1, 0], 0.0)
+    ledger.append(np.full(4, 0.5), [0, 1, 1, 1], 1.0)
+    ledger.append(np.full(4, 0.5), [2, 2, 2, 2], 0.5)
+    diags = ledger.half_diagonals()
+    assert diags[0] < diags[1]
+    assert select_potentially_optimal(ledger, 0.0) == [0]
+    outcome = select_halo(ledger, np.zeros(3))
+    assert [q for q in outcome.chosen if outcome.reasons[q].largest_best_bound] == [0]

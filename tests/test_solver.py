@@ -7,9 +7,7 @@ from halo.solver import (
     STATUS_BUDGET,
     STATUS_ITER_LIMIT,
     STATUS_SOLVED,
-    RunTrace,
     SolverConfig,
-    check_stop,
     run,
 )
 
@@ -37,23 +35,27 @@ def test_budget_one_stops_after_root():
 
 
 def test_check_stop_examples():
-    stop = StopRule(rel_error_tol=1e-4)
-    h = unit_handle(lambda x: 0.0, 1, known_optimum=1.0)
-    trace = RunTrace([], [], "", 1.0001, None, 0, 0, 0, None)
-    assert check_stop(trace, h, stop) == STATUS_SOLVED
-    trace = RunTrace([], [], "", 1.001, None, 0, 0, 0, None)
-    assert check_stop(trace, h, stop) is None
-    h0 = unit_handle(lambda x: 0.0, 1, known_optimum=0.0)
-    trace = RunTrace([], [], "", 1e-13, None, 0, 0, 0, None)
-    assert check_stop(trace, h0, stop) == STATUS_SOLVED
+    cfg = SolverConfig(local_search_enabled=False, stop=StopRule(max_fun_evals=500, rel_error_tol=1e-4))
+    # relative error against a nonzero optimum: stops at the first eval within 1e-4,
+    # which is 2e-4 in absolute terms here
+    trace = run(unit_handle(lambda x: 2.0 + float(x[0] - 0.2) ** 2, 1, known_optimum=2.0), cfg)
+    assert trace.status == STATUS_SOLVED
+    assert trace.evals[-1].best - 2.0 <= 2e-4 < trace.evals[-2].best - 2.0
+    # an optimum that is never approached within 1e-4 keeps the run going
+    trace = run(unit_handle(lambda x: 2.0 + float(x[0] - 0.2) ** 2, 1, known_optimum=1.9), cfg)
+    assert trace.status == STATUS_BUDGET
+    # absolute error when the optimum is zero
+    trace = run(unit_handle(lambda x: float(x[0] - 0.2) ** 2, 1, known_optimum=0.0), cfg)
+    assert trace.status == STATUS_SOLVED
+    assert trace.evals[-1].best <= 1e-4 < trace.evals[-2].best
 
 
 def test_check_stop_budget():
-    stop = StopRule(max_fun_evals=10)
-    h = unit_handle(lambda x: 0.0, 1)
-    h.eval_count = 10
-    trace = RunTrace([], [], "", 5.0, None, 10, 0, 0, None)
-    assert check_stop(trace, h, stop) == STATUS_BUDGET
+    h = unit_handle(lambda x: float(x[0]), 1, known_optimum=-1.0)
+    trace = run(h, SolverConfig(stop=StopRule(max_fun_evals=10)))
+    # root plus four divisions of two points each: a fifth would pass 10
+    assert trace.status == STATUS_BUDGET
+    assert trace.n_evals == h.eval_count == 9
 
 
 def test_determinism_bitwise():
