@@ -18,18 +18,13 @@ from .geometry import (
     denormalize_point,
     normalize_point,
 )
-from .lipschitz import (
-    blend_constants,
-    global_slope_max,
-    update_slopes_on_division,
-)
+from .lipschitz import blend_constants, global_slope_max
 from .local_search import ExclusionRegistry, LocalResult, coordinate_descent_minimize, gate_local_search
 from .manifest import load_manifest, problem_from_record, write_manifest
 from .metrics import (
     BenchmarkReport,
     RunRecord,
     auoc,
-    operational_characteristic,
     run_benchmark,
     step_curve,
     variable_importance,
@@ -66,7 +61,6 @@ __all__ = [
     "division_order",
     "divide_partition",
     "SamplePlan",
-    "update_slopes_on_division",
     "global_slope_max",
     "blend_constants",
     "SelectionOutcome",
@@ -91,7 +85,6 @@ __all__ = [
     "RunRecord",
     "BenchmarkReport",
     "step_curve",
-    "operational_characteristic",
     "auoc",
     "variable_importance",
     "run_benchmark",

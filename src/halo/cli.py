@@ -28,13 +28,12 @@ from .serialize import fmt_float, read_json, write_csv, write_json, write_jsonl
 from .solver import SolverConfig, run
 
 
-def _solver_config(variant, budget, beta, tol, local_search, epsilon) -> SolverConfig:
+def _solver_config(variant, budget, beta, tol, local_search) -> SolverConfig:
     return SolverConfig(
         variant=variant,
         beta=beta,
         stop=StopRule(max_fun_evals=budget, rel_error_tol=tol),
         local_search_enabled=local_search,
-        direct_epsilon_rel=epsilon,
     )
 
 
@@ -75,7 +74,7 @@ def main():
 def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
     """Run one problem and print the outcome."""
     prob = _resolve_problem(problem, n, seed)
-    cfg = _solver_config(variant, budget, beta, tol, local_search, 1e-4)
+    cfg = _solver_config(variant, budget, beta, tol, local_search)
     handle = prob.make_handle()
     trace = run(handle, cfg)
     if out:
@@ -107,7 +106,7 @@ def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
 def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
     """Run a whole manifest and write the report (JSON plus flat CSV)."""
     records = load_manifest(manifest_path)
-    cfg = _solver_config(variant, budget, beta, tol, local_search, 1e-4)
+    cfg = _solver_config(variant, budget, beta, tol, local_search)
     report = run_benchmark(records, cfg, parallelism=jobs)
     report.metadata["manifest"] = str(manifest_path)
     write_json(out, report.to_document())

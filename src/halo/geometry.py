@@ -107,11 +107,11 @@ class PartitionLedger:
     The size of a row is its level vector: side ``j`` has been trisected
     ``levels[j]`` times.  Only longest sides are ever cut, so the levels of
     a row lie in ``{k, k + 1}`` for some ``k``; ``append`` rejects any other
-    row.  Each row caches its half diagonal and its depth ``levels.sum()``.
-    Rows of equal depth have the same sides up to order, and a greater
-    depth means a strictly smaller box.  Slope rows hold nonnegative
-    absolute difference quotients along each axis, in objective units per
-    normalized length.
+    row and ``divide`` cuts nothing else.  Each row caches its half diagonal
+    and its depth ``levels.sum()``.  Rows of equal depth have the same sides
+    up to order, and a greater depth means a strictly smaller box.  Slope
+    rows hold nonnegative absolute difference quotients along each axis, in
+    objective units per normalized length.
 
     Rows are never deleted: dividing a partition trisects it in place and
     appends the new children, so the set of rows always tiles the unit
@@ -173,11 +173,22 @@ class PartitionLedger:
             new[: self._count] = old[: self._count]
             setattr(self, name, new)
 
-    def _cache_size(self, pid: int):
-        # the axis-1 norm of a one-row block has the bits of the same row's
-        # norm within a whole-matrix np.linalg.norm(half_sides, axis=1)
-        self._half_diagonals[pid] = np.linalg.norm(HALF_SIDES[self._levels[pid : pid + 1]], axis=1)[0]
-        self._depths[pid] = self._levels[pid].sum()
+    def _write(self, rows, levels: np.ndarray, slopes: np.ndarray):
+        """Store level and slope rows at ``rows`` and fill their cached sizes."""
+        if np.any(slopes < 0.0):
+            raise ValueError("slopes are absolute and must be nonnegative")
+        self._levels[rows] = levels
+        self._slopes[rows] = slopes
+        # the axis-1 norm of a block has, row by row, the bits of the same
+        # rows within a whole-matrix np.linalg.norm(half_sides, axis=1)
+        self._half_diagonals[rows] = np.linalg.norm(HALF_SIDES[levels], axis=1)
+        self._depths[rows] = levels.sum(axis=1)
+
+    def _reserve(self, k: int) -> int:
+        """Make room for ``k`` more rows; returns the first new id."""
+        while self._count + k > self._centers.shape[0]:
+            self._grow()
+        return self._count
 
     def append(self, center, levels, value: float, slopes=None) -> int:
         levels = np.asarray(levels)
@@ -186,41 +197,47 @@ class PartitionLedger:
         low, high = levels.min(), levels.max()
         if low < 0 or high > low + 1 or high > MAX_LEVEL:
             raise ValueError(f"levels {levels} are not {{k, k + 1}} within 0..{MAX_LEVEL}")
-        if self._count == self._centers.shape[0]:
-            self._grow()
-        i = self._count
+        slopes = np.zeros(self._dim) if slopes is None else np.asarray(slopes, dtype=float)
+        i = self._reserve(1)
         self._centers[i] = np.asarray(center, dtype=float)
-        self._levels[i] = levels
         self._values[i] = float(value)
-        self._slopes[i] = 0.0 if slopes is None else np.asarray(slopes, dtype=float)
-        self._cache_size(i)
+        self._write(slice(i, i + 1), levels[None], slopes[None])
         self._count += 1
         return i
 
-    def trisect(self, pid: int, coord: int):
-        """Cut side ``coord`` of partition ``pid`` into thirds, keeping the middle.
+    def divide(self, pid: int, order, centers, values, parent_slopes, child_slopes) -> list[int]:
+        """Trisect partition ``pid`` along ``order`` and append its children.
 
-        Only a longest side may be cut.  Past MAX_LEVEL the level stays put,
-        as the half side has already reached 0.0.
+        Cuts are made one coordinate at a time: the parent keeps the middle
+        third (its level on that side rises by one, staying put at
+        MAX_LEVEL, where the half side is already 0.0) and the two outer
+        thirds become rows ``2j`` and ``2j + 1`` of ``centers``, with the
+        levels the parent has right after cut ``j``.  Every cut must be a
+        longest side of the parent and no coordinate may repeat.  The parent
+        gets slope row ``parent_slopes``, the children ``child_slopes``.
+        Returns the new ids in row order.
         """
         if not 0 <= pid < self._count:
             raise IndexError(f"no partition with id {pid}")
+        order = np.asarray(order, dtype=np.intp)
         row = self._levels[pid]
-        if row[coord] != row.min():
-            raise ValueError(f"side {coord} of partition {pid} is not a longest side")
-        row[coord] = min(row[coord] + 1, MAX_LEVEL)
-        self._cache_size(pid)
-
-    def set_slope(self, pid: int, coord: int, value: float):
-        if value < 0.0:
-            raise ValueError("slopes are absolute and must be nonnegative")
-        self._slopes[pid, coord] = value
-
-    def set_slope_row(self, pid: int, row):
-        row = np.asarray(row, dtype=float)
-        if np.any(row < 0.0):
-            raise ValueError("slopes are absolute and must be nonnegative")
-        self._slopes[pid] = row
+        if len(set(order.tolist())) != order.size or np.any(row[order] != row.min()):
+            raise ValueError(f"cuts {order.tolist()} are not distinct longest sides of partition {pid}")
+        cuts = np.zeros((order.size, self._dim), dtype=np.int16)
+        cuts[np.arange(order.size), order] = 1
+        stages = np.minimum(row + np.cumsum(cuts, axis=0), MAX_LEVEL)
+        first = self._reserve(2 * order.size)
+        end = first + 2 * order.size
+        # rows past the count first: a rejected call leaves the ledger as it was
+        self._centers[first:end] = centers
+        self._values[first:end] = values
+        self._write(
+            np.r_[pid, first:end],
+            np.vstack((stages[-1:], np.repeat(stages, 2, axis=0))),
+            np.vstack((parent_slopes, child_slopes)),
+        )
+        self._count = end
+        return list(range(first, end))
 
     def half_diagonals(self) -> np.ndarray:
         """View of every row's distance from center to vertex."""

@@ -1,10 +1,9 @@
-"""Absolute slope bookkeeping and local Lipschitz constant estimates.
+"""Slope norms, blending and lower bounds.
 
 Each partition carries a vector of absolute difference quotients along the
-coordinate axes.  A division refreshes the parent's entries with central
-differences and seeds the children with forward differences; the blend of
-a partition's own slope norm with the ledger-wide maximum then gives the
-local constant used to form lower bounds.
+coordinate axes, written when it is divided (see ``divide_partition``).
+The blend of a partition's own slope norm with the ledger-wide maximum
+gives the local constant used to form lower bounds.
 """
 
 from __future__ import annotations
@@ -12,33 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import PartitionLedger
-from .partitioning import SamplePlan
-
-
-def update_slopes_on_division(
-    ledger: PartitionLedger, parent_id: int, plan: SamplePlan, child_ids: list[int]
-) -> None:
-    """Refresh slope rows after ``parent_id`` was divided under ``plan``.
-
-    On every divided coordinate p the parent gets the central difference
-    ``|f(x+) - f(x-)| / (2 delta)``.  Each child starts from a copy of the
-    parent's pre-division row with its own coordinate replaced by the
-    forward difference ``|f(child) - f(parent)| / delta``; all other
-    coordinates are inherited unchanged, even if stale.
-    """
-    base = ledger.slopes[parent_id].copy()
-    parent_center = ledger.centers[parent_id]
-    parent_value = float(ledger.values[parent_id])
-    delta = plan.delta
-    for i, p in enumerate(plan.coords):
-        central = abs(plan.values_plus[i] - plan.values_minus[i]) / (2.0 * delta)
-        ledger.set_slope(parent_id, p, central)
-    for cid in child_ids:
-        offset = ledger.centers[cid] - parent_center
-        p = int(np.argmax(np.abs(offset)))
-        row = base.copy()
-        row[p] = abs(float(ledger.values[cid]) - parent_value) / delta
-        ledger.set_slope_row(cid, row)
 
 
 def slope_norms(ledger: PartitionLedger) -> np.ndarray:

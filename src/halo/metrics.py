@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import PartitionLedger
 from .manifest import problem_from_record
-from .solver import STATUS_SOLVED, RunTrace, SolverConfig, relative_error, run
+from .solver import DIRECT_EPSILON_REL, STATUS_SOLVED, RunTrace, SolverConfig, relative_error, run
 
 
 @dataclass
@@ -51,15 +51,6 @@ def step_curve(records: Sequence[RunRecord]) -> StepCurve:
         raise ValueError("no run records")
     jumps = np.sort([r.fevals for r in records if r.solved])
     return StepCurve(jumps=np.asarray(jumps, dtype=float), total=len(records))
-
-
-def operational_characteristic(records: Sequence[RunRecord], gamma_grid) -> np.ndarray:
-    """c(gamma) sampled on an ascending grid; nondecreasing by construction."""
-    curve = step_curve(records)
-    grid = np.asarray(gamma_grid, dtype=float)
-    if grid.size and np.any(np.diff(grid) < 0):
-        raise ValueError("gamma grid must be ascending")
-    return np.searchsorted(curve.jumps, grid, side="right") / curve.total
 
 
 def auoc(curve: StepCurve, gamma_max: float) -> float:
@@ -192,7 +183,7 @@ def build_report(rows: list[RunRecord], cfg: SolverConfig, metadata: Optional[di
         "max_fun_evals": cfg.stop.max_fun_evals,
         "rel_error_tol": cfg.stop.rel_error_tol,
         "local_search_enabled": cfg.local_search_enabled,
-        "direct_epsilon_rel": cfg.direct_epsilon_rel,
+        "direct_epsilon_rel": DIRECT_EPSILON_REL,
         "average_evals_note": "average over solved runs only; failed runs excluded",
     }
     if metadata:

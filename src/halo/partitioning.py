@@ -1,16 +1,18 @@
-"""Sampling along longest sides and trisection of selected partitions.
+"""Sampling along longest sides, trisection and slope refresh of a partition.
 
 The scheme keeps the parent's center: new points are placed at distance
 ``delta = (2/3) * s_max`` on both sides of the center along every longest
 coordinate, then the box is cut into thirds along those coordinates, one
 coordinate at a time, so the best new value ends up in the largest child.
 The longest sides of a box are those at its lowest trisection level.
+The same division step refreshes the slope rows from the new samples:
+central differences for the parent, forward differences for the children.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,10 +37,6 @@ class SamplePlan:
     points_minus: list[np.ndarray]
     values_plus: list[float]
     values_minus: list[float]
-
-    @property
-    def n_evals(self) -> int:
-        return 2 * len(self.coords)
 
 
 def longest_side_coords(levels: np.ndarray) -> list[int]:
@@ -114,28 +112,33 @@ def division_order(plan: SamplePlan) -> list[int]:
     return [coord for _, coord in sorted(keyed)]
 
 
-def divide_partition(
-    ledger: PartitionLedger, pid: int, plan: SamplePlan, order: Sequence[int]
-) -> list[int]:
-    """Trisect partition ``pid`` along ``order``, appending 2 children per cut.
+def divide_partition(ledger: PartitionLedger, pid: int, plan: SamplePlan) -> list[int]:
+    """Trisect partition ``pid`` under ``plan`` and seed every new slope row.
 
-    Processing one coordinate at a time, the current box around the parent
-    center is split into three slabs: the parent keeps the middle (its level
-    on that side rises by one) and the two sampled points become centers
-    of the outer slabs, which inherit the box extents as they stand at that
-    step.  Returns the new ids in creation order (plus point first).
+    Coordinates are cut in ``division_order(plan)``; at each cut the two
+    sampled points become centers of the outer thirds, which take the box
+    extents as they stand at that step (see ``PartitionLedger.divide``).
+    On every divided coordinate p the parent's slope becomes the central
+    difference ``|f(x+) - f(x-)| / (2 delta)``.  Each child starts from the
+    parent's pre-division row with its own cut coordinate replaced by the
+    forward difference ``|f(child) - f(parent)| / delta``; its other
+    coordinates are inherited unchanged, even if stale.  Returns the new
+    ids in creation order (plus point first).
     """
-    if sorted(order) != sorted(plan.coords):
-        raise ValueError("division order must be a permutation of the sampled coordinates")
-    by_coord = {
-        coord: (plan.points_plus[i], plan.points_minus[i], plan.values_plus[i], plan.values_minus[i])
-        for i, coord in enumerate(plan.coords)
-    }
-    child_ids: list[int] = []
+    order = division_order(plan)
+    centers, values = [], []
     for coord in order:
-        ledger.trisect(pid, coord)
-        levels = ledger.levels[pid]
-        xp, xm, fp, fm = by_coord[coord]
-        child_ids.append(ledger.append(xp, levels, fp))
-        child_ids.append(ledger.append(xm, levels, fm))
-    return child_ids
+        i = plan.coords.index(coord)
+        centers += [plan.points_plus[i], plan.points_minus[i]]
+        values += [plan.values_plus[i], plan.values_minus[i]]
+    base = ledger.slopes[pid]
+    parent_value = float(ledger.values[pid])
+    child_slopes = np.tile(base, (len(values), 1))
+    child_slopes[np.arange(len(values)), np.repeat(order, 2)] = [
+        abs(f - parent_value) / plan.delta for f in values
+    ]
+    parent_slopes = base.copy()
+    parent_slopes[plan.coords] = [
+        abs(fp - fm) / (2.0 * plan.delta) for fp, fm in zip(plan.values_plus, plan.values_minus)
+    ]
+    return ledger.divide(pid, order, centers, values, parent_slopes, child_slopes)

@@ -36,18 +36,13 @@ class SelectionOutcome:
     reasons: dict[int, SelectionReason]
 
 
-def select_halo(
-    ledger: PartitionLedger,
-    constants: np.ndarray,
-    criterion3_by_constant: bool = False,
-) -> SelectionOutcome:
+def select_halo(ledger: PartitionLedger, constants: np.ndarray) -> SelectionOutcome:
     """Select partitions per the three lower-bound criteria.
 
     Criterion 1: the lowest lower bound over all partitions.
     Criterion 2: the lowest objective value.
     Criterion 3: among the largest partitions (least depth, so maximal half
-    diagonal), the lowest lower bound (or, with ``criterion3_by_constant``, the lowest local
-    constant -- an alternative reading kept behind a switch).
+    diagonal), the lowest lower bound.
 
     Argmin ties break toward the lowest id.  The chosen list keeps the
     criterion order 1, 2, 3 with duplicates merged, so it never holds more
@@ -62,8 +57,7 @@ def select_halo(
     q1 = int(np.argmin(bounds))
     q2 = int(np.argmin(values))
     in_max = np.flatnonzero(depths == depths.min())
-    inner = constants if criterion3_by_constant else bounds
-    q3 = int(in_max[np.argmin(inner[in_max])])
+    q3 = int(in_max[np.argmin(bounds[in_max])])
 
     chosen: list[int] = []
     for q in (q1, q2, q3):
@@ -80,14 +74,10 @@ def select_halo(
     return SelectionOutcome(chosen, reasons)
 
 
-def select_hlo(
-    ledger: PartitionLedger,
-    global_constant: float,
-    criterion3_by_constant: bool = False,
-) -> SelectionOutcome:
+def select_hlo(ledger: PartitionLedger, global_constant: float) -> SelectionOutcome:
     """Same criteria with every local constant replaced by the global one."""
     constants = np.full(len(ledger), float(global_constant))
-    return select_halo(ledger, constants, criterion3_by_constant=criterion3_by_constant)
+    return select_halo(ledger, constants)
 
 
 def _size_classes(

@@ -22,7 +22,7 @@ from .geometry import (
     PartitionLedger,
     StopRule,
 )
-from .lipschitz import blend_constants, global_slope_max, update_slopes_on_division
+from .lipschitz import blend_constants, global_slope_max
 from .local_search import (
     RUN,
     SELECT_FOR_DIVISION,
@@ -30,7 +30,7 @@ from .local_search import (
     coordinate_descent_minimize,
     gate_local_search,
 )
-from .partitioning import division_order, divide_partition, init_root, sample_partition
+from .partitioning import divide_partition, init_root, sample_partition
 from .selection import select_halo, select_hlo, select_potentially_optimal
 
 VARIANTS = ("halo", "hlo", "direct")
@@ -42,6 +42,9 @@ STATUS_ITER_LIMIT = "iter_limit"
 # Cap on evaluations a single local refinement may consume, per dimension.
 LOCAL_SEARCH_BUDGET_PER_DIM = 100
 
+# Relative improvement a potentially-optimal partition must promise (direct).
+DIRECT_EPSILON_REL = 1e-4
+
 
 @dataclass
 class SolverConfig:
@@ -52,14 +55,12 @@ class SolverConfig:
     exclusion_radius: float = 1e-4
     stop: StopRule = field(default_factory=StopRule)
     local_search_enabled: bool = True
-    direct_epsilon_rel: float = 1e-4
-    criterion3_by_constant: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.beta < 0.0 or self.exclusion_radius <= 0.0 or self.direct_epsilon_rel < 0.0:
-            raise ValueError("beta and epsilon must be nonnegative, radius positive")
+        if self.beta < 0.0 or self.exclusion_radius <= 0.0:
+            raise ValueError("beta must be nonnegative, radius positive")
 
 
 @dataclass
@@ -164,15 +165,13 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
             g_const = global_slope_max(ledger)
             max_diag = float(ledger.half_diagonals().max())
             if cfg.variant == "direct":
-                chosen = select_potentially_optimal(ledger, cfg.direct_epsilon_rel)
+                chosen = select_potentially_optimal(ledger, DIRECT_EPSILON_REL)
                 reasons = {}
             else:
                 if cfg.variant == "halo":
-                    outcome = select_halo(
-                        ledger, blend_constants(ledger, g_const), cfg.criterion3_by_constant
-                    )
+                    outcome = select_halo(ledger, blend_constants(ledger, g_const))
                 else:
-                    outcome = select_hlo(ledger, g_const, cfg.criterion3_by_constant)
+                    outcome = select_hlo(ledger, g_const)
                 chosen, reasons = outcome.chosen, outcome.reasons
 
             budget_hit = False
@@ -217,8 +216,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                 except BudgetExhaustedError:
                     budget_hit = True
                     break
-                children = divide_partition(ledger, pid, plan, division_order(plan))
-                update_slopes_on_division(ledger, pid, plan, children)
+                divide_partition(ledger, pid, plan)
 
             iterations.append(IterationRecord(k, tuple(chosen), len(ledger), g_const, max_diag))
             if budget_hit or obj.eval_count >= stop.max_fun_evals:

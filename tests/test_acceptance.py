@@ -14,17 +14,11 @@ import numpy as np
 import pytest
 
 from halo.geometry import BoxDomain, ObjectiveHandle, StopRule
-from halo.lipschitz import blend, blend_constants, global_slope_max, update_slopes_on_division
+from halo.lipschitz import blend, blend_constants, global_slope_max
 from halo.manifest import load_manifest
-from halo.metrics import (
-    auoc,
-    operational_characteristic,
-    run_benchmark,
-    step_curve,
-    variable_importance,
-)
+from halo.metrics import auoc, run_benchmark, step_curve, variable_importance
 from halo.metrics import RunRecord
-from halo.partitioning import division_order, divide_partition, init_root, sample_partition
+from halo.partitioning import divide_partition, init_root, sample_partition
 from halo.problems import classical_problem, rastrigin, shift_minimizer
 from halo.selection import select_halo, select_potentially_optimal
 from halo.solver import SolverConfig, run
@@ -100,8 +94,7 @@ def test_criterion_2_affine_slope_exactness():
         for _ in range(15):
             pid = int(np.argmax(ledger.half_diagonals()))
             plan = sample_partition(ledger, pid, h)
-            children = divide_partition(ledger, pid, plan, division_order(plan))
-            update_slopes_on_division(ledger, pid, plan, children)
+            divide_partition(ledger, pid, plan)
             for coord in plan.coords:
                 assert abs(ledger.slopes[pid][coord] - abs(a[coord])) <= 1e-12
             if set(plan.coords) == {0, 1, 2}:
@@ -241,7 +234,8 @@ def test_criterion_9_metrics(schoen_reports, classical_reports):
         reports = list(schoen_reports.values()) + list(classical_reports.values())
         for report in reports:
             grid = np.linspace(0, report.gamma_max, 500)
-            c = operational_characteristic(report.rows, grid)
+            curve = step_curve(report.rows)
+            c = [curve.value(g) for g in grid]
             assert np.all(np.diff(c) >= 0.0)
             assert 0.0 <= report.auoc <= 1.0
 

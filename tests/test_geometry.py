@@ -150,11 +150,15 @@ def test_ledger_partition_copies_are_detached():
 
 def test_ledger_rejects_negative_slopes():
     ledger = PartitionLedger(1)
+    with pytest.raises(ValueError):
+        ledger.append([0.5], [0], 1.0, [-0.5])
     ledger.append([0.5], [0], 1.0)
     with pytest.raises(ValueError):
-        ledger.set_slope(0, 0, -1.0)
+        ledger.divide(0, [0], [[5 / 6], [1 / 6]], [0.0, 0.0], [-1.0], [[0.0], [0.0]])
     with pytest.raises(ValueError):
-        ledger.set_slope_row(0, [-0.5])
+        ledger.divide(0, [0], [[5 / 6], [1 / 6]], [0.0, 0.0], [0.0], [[0.0], [-1.0]])
+    assert len(ledger) == 1
+    assert ledger.levels.tolist() == [[0]] and ledger.slopes.tolist() == [[0.0]]
 
 
 def test_root_volume():
@@ -182,22 +186,31 @@ def test_ledger_rejects_unreachable_levels():
     assert ledger.depths.tolist() == [7]
 
 
+def divide_args(ledger, pid, order, value=0.0):
+    """Arguments for ``ledger.divide`` with dummy centers and zero slopes."""
+    k, n = 2 * len(order), ledger.dim
+    return pid, order, np.tile(ledger.centers[pid], (k, 1)), np.full(k, value), np.zeros(n), np.zeros((k, n))
+
+
 def test_trisect_cuts_only_longest_sides_and_refreshes_caches():
     ledger = PartitionLedger(3)
     ledger.append(np.full(3, 0.5), [0, 0, 0], 0.0)
-    ledger.trisect(0, 1)
-    assert ledger.levels[0].tolist() == [0, 1, 0]
-    assert ledger.depths[0] == 1
-    assert ledger.half_diagonals()[0] == np.linalg.norm(ledger.half_sides, axis=1)[0]
-    with pytest.raises(ValueError):
-        ledger.trisect(0, 1)  # no longer a longest side
+    assert ledger.divide(*divide_args(ledger, 0, [1, 2], value=4.0)) == [1, 2, 3, 4]
+    assert ledger.levels.tolist() == [[0, 1, 1], [0, 1, 0], [0, 1, 0], [0, 1, 1], [0, 1, 1]]
+    assert ledger.depths.tolist() == [2, 1, 1, 2, 2]
+    assert ledger.values.tolist() == [0.0, 4.0, 4.0, 4.0, 4.0]
+    assert ledger.half_diagonals().tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
+    for order in ([1], [0, 0], [0, 1]):  # not longest sides, or a repeat
+        with pytest.raises(ValueError):
+            ledger.divide(*divide_args(ledger, 0, order))
     with pytest.raises(IndexError):
-        ledger.trisect(1, 0)
+        ledger.divide(5, *divide_args(ledger, 0, [0])[1:])
+    assert len(ledger) == 5
 
 
 def test_trisect_stops_at_the_underflow_level():
     ledger = PartitionLedger(1)
     ledger.append([0.5], [MAX_LEVEL], 0.0)
-    ledger.trisect(0, 0)
-    assert ledger.levels[0, 0] == MAX_LEVEL
-    assert ledger.half_diagonals()[0] == 0.0
+    ledger.divide(*divide_args(ledger, 0, [0]))
+    assert ledger.levels.tolist() == [[MAX_LEVEL]] * 3
+    assert ledger.half_diagonals().tolist() == [0.0] * 3

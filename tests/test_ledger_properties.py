@@ -45,7 +45,8 @@ def tolerance_classes(diags: np.ndarray) -> set[frozenset[int]]:
 def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_search):
     cfg = SolverConfig(variant=variant, beta=1e-2, local_search_enabled=local_search,
                        stop=StopRule(max_fun_evals=budget))
-    ledger = run(unit_handle(random_objective(seed, n), n), cfg).ledger
+    trace = run(unit_handle(random_objective(seed, n), n), cfg)
+    ledger = trace.ledger
     levels = ledger.levels
     depths = ledger.depths
 
@@ -65,3 +66,13 @@ def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_sea
     # integer size classes are the old tolerance classes of the diagonals
     by_depth = {frozenset(np.flatnonzero(depths == d).tolist()) for d in set(depths.tolist())}
     assert by_depth == tolerance_classes(diags)
+
+    # slopes are finite and nonnegative
+    assert np.isfinite(ledger.slopes).all() and (ledger.slopes >= 0.0).all()
+
+    # the incumbent is the running minimum of the values and never increases
+    values = [r.value for r in trace.evals]
+    bests = [r.best for r in trace.evals]
+    assert bests == np.minimum.accumulate(values).tolist()
+    assert all(later <= earlier for earlier, later in zip(bests, bests[1:]))
+    assert trace.best_value == bests[-1]

@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halo.geometry import PartitionLedger
-from halo.lipschitz import (
-    blend,
-    blend_constants,
-    global_slope_max,
-    lower_bounds,
-    update_slopes_on_division,
-)
+from halo.lipschitz import blend, blend_constants, global_slope_max, lower_bounds
 from halo.partitioning import division_order, divide_partition, init_root, sample_partition
 
 from conftest import unit_handle
@@ -19,9 +13,7 @@ from oracles import blend_local_constant, central_difference
 
 def divide_once(h, ledger, pid):
     plan = sample_partition(ledger, pid, h)
-    children = divide_partition(ledger, pid, plan, division_order(plan))
-    update_slopes_on_division(ledger, pid, plan, children)
-    return plan, children
+    return plan, divide_partition(ledger, pid, plan)
 
 
 def test_linear_slope_exact_1d():
@@ -54,19 +46,28 @@ def test_quadratic_slope_matches_hand_value_and_oracle():
 
 def test_children_inherit_pre_update_rows():
     h = unit_handle(lambda x: float(x[0] + 2.0 * x[1]), 2)
-    ledger = init_root(h)
-    ledger.set_slope_row(0, [7.0, 9.0])  # stale parent information
-    plan = sample_partition(ledger, 0, h)
-    children = divide_partition(ledger, 0, plan, division_order(plan))
-    update_slopes_on_division(ledger, 0, plan, children)
+    ledger = PartitionLedger(2)
+    # the root, carrying stale slope information
+    ledger.append([0.5, 0.5], [0, 0], h.eval_normalized([0.5, 0.5]), [7.0, 9.0])
+    plan, children = divide_once(h, ledger, 0)
     # parent refreshed by central differences on both coordinates
     assert np.allclose(ledger.slopes[0], [1.0, 2.0], atol=1e-12)
-    for cid in children:
-        offset = ledger.centers[cid] - ledger.centers[0]
-        divided_coord = int(np.argmax(np.abs(offset)))
+    for cid, divided_coord in zip(children, np.repeat(division_order(plan), 2)):
         other = 1 - divided_coord
         # the untouched coordinate keeps the pre-division value, not the refresh
         assert ledger.slopes[cid][other] == {0: 7.0, 1: 9.0}[other]
+
+
+def test_child_slope_below_float_resolution_uses_cut_axis():
+    # at level 36, delta is below the ulp of the center: every sample is the
+    # center itself, so the offset of a child says nothing about its cut axis
+    h = unit_handle(lambda x: float(x[0] + x[1]), 2)
+    ledger = PartitionLedger(2)
+    ledger.append([0.5, 0.5], [36, 36], h.eval_normalized([0.5, 0.5]), [7.0, 9.0])
+    plan, children = divide_once(h, ledger, 0)
+    assert all(np.array_equal(p, ledger.centers[0]) for p in plan.points_plus + plan.points_minus)
+    assert division_order(plan) == [0, 1]
+    assert ledger.slopes[children].tolist() == [[0.0, 9.0]] * 2 + [[7.0, 0.0]] * 2
 
 
 def test_rectangle_division_leaves_other_coordinates_unchanged():

@@ -11,7 +11,6 @@ from halo.metrics import (
     RunRecord,
     auoc,
     build_report,
-    operational_characteristic,
     run_benchmark,
     step_curve,
     variable_importance,
@@ -26,20 +25,20 @@ def record(solved, fevals, name="p", n=2):
 def test_oc_all_solved_at_ten():
     records = [record(True, 10) for _ in range(4)]
     grid = [0, 5, 9, 10, 50, 100]
-    c = operational_characteristic(records, grid)
-    assert np.array_equal(c, [0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    c = [step_curve(records).value(g) for g in grid]
+    assert c == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
 
 
 def test_oc_none_solved():
     records = [record(False, 30000) for _ in range(3)]
-    c = operational_characteristic(records, [0, 10, 100, 30000])
-    assert np.array_equal(c, np.zeros(4))
+    c = [step_curve(records).value(g) for g in [0, 10, 100, 30000]]
+    assert c == [0.0] * 4
 
 
 def test_oc_two_of_four():
     records = [record(True, 5), record(True, 15), record(False, 100), record(False, 100)]
-    c = operational_characteristic(records, [10, 20])
-    assert np.array_equal(c, [0.25, 0.5])
+    c = [step_curve(records).value(g) for g in [10, 20]]
+    assert c == [0.25, 0.5]
 
 
 def test_auoc_all_solved_at_zero():
@@ -75,11 +74,11 @@ def test_auoc_in_unit_interval_and_monotone_in_solved():
 def test_oc_nondecreasing_step_function(outcomes):
     records = [record(s, f) for s, f in outcomes]
     grid = np.arange(0, 5001, 97)
-    c = operational_characteristic(records, grid)
+    curve = step_curve(records)
+    c = np.array([curve.value(g) for g in grid])
     assert np.all(np.diff(c) >= 0.0)
     assert np.all((0.0 <= c) & (c <= 1.0))
     # jumps only at observed solve counts
-    curve = step_curve(records)
     solve_counts = {f for s, f in outcomes if s}
     for gamma in grid[:-1]:
         left = curve.value(float(gamma) - 0.5)

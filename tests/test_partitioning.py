@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halo.geometry import BudgetExhaustedError, StopRule
+from halo.geometry import BudgetExhaustedError, PartitionLedger, StopRule
 from halo.partitioning import (
     division_order,
     divide_partition,
@@ -46,18 +46,15 @@ def test_longest_sides_tie():
 
 
 def test_longest_sides_single():
-    h = unit_handle(lambda x: 0.0, 2)
-    ledger = init_root(h)
-    ledger.trisect(0, 1)
+    ledger = PartitionLedger(2)
+    ledger.append([0.5, 0.5], [0, 1], 0.0)
     assert ledger.half_sides[0, 1] == 1.0 / 6.0
     assert longest_side_coords(ledger.levels[0]) == [0]
 
 
 def test_longest_sides_last_coord():
-    h = unit_handle(lambda x: 0.0, 3)
-    ledger = init_root(h)
-    ledger.trisect(0, 0)
-    ledger.trisect(0, 1)
+    ledger = PartitionLedger(3)
+    ledger.append([0.5, 0.5, 0.5], [1, 1, 0], 0.0)
     assert longest_side_coords(ledger.levels[0]) == [2]
 
 
@@ -83,8 +80,8 @@ def test_sample_root_1d():
 
 def test_sample_rectangle_only_longest():
     h = unit_handle(lambda x: float(np.sum(x)), 2)
-    ledger = init_root(h)
-    ledger.trisect(0, 0)
+    ledger = PartitionLedger(2)
+    ledger.append([0.5, 0.5], [1, 0], h.eval_normalized([0.5, 0.5]))
     plan = sample_partition(ledger, 0, h)
     assert plan.coords == [1]
     assert plan.delta == pytest.approx(1.0 / 3.0)
@@ -129,7 +126,9 @@ def test_divide_root_n2_order_0_then_1():
     h = unit_handle(lambda x: float(np.sum(x**2)), 2)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    ids = divide_partition(ledger, 0, plan, [0, 1])
+    plan.values_plus[:] = [1.0, 3.0]
+    plan.values_minus[:] = [2.0, 4.0]
+    ids = divide_partition(ledger, 0, plan)
     assert ids == [1, 2, 3, 4]
     sides = {i: tuple(ledger.half_sides[i]) for i in range(5)}
     third, half = 0.5 / 3.0, 0.5
@@ -142,7 +141,9 @@ def test_divide_root_n2_order_1_then_0_mirrors():
     h = unit_handle(lambda x: float(np.sum(x**2)), 2)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    divide_partition(ledger, 0, plan, [1, 0])
+    plan.values_plus[:] = [3.0, 1.0]
+    plan.values_minus[:] = [4.0, 2.0]
+    divide_partition(ledger, 0, plan)
     third, half = 0.5 / 3.0, 0.5
     assert tuple(ledger.half_sides[1]) == (half, third)
     assert tuple(ledger.half_sides[2]) == (half, third)
@@ -153,7 +154,7 @@ def test_divide_root_1d():
     h = unit_handle(lambda x: float(x[0]), 1)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    divide_partition(ledger, 0, plan, division_order(plan))
+    divide_partition(ledger, 0, plan)
     assert len(ledger) == 3
     assert np.allclose(ledger.half_sides, 1.0 / 6.0)
     assert ledger.total_volume() == pytest.approx(1.0)
@@ -175,7 +176,7 @@ def test_lowest_new_value_gets_longest_child_diagonal():
     h = unit_handle(lambda x: float(rng.uniform()), 3)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    ids = divide_partition(ledger, 0, plan, division_order(plan))
+    ids = divide_partition(ledger, 0, plan)
     diags = {i: float(np.linalg.norm(ledger.half_sides[i])) for i in ids}
     values = {i: float(ledger.values[i]) for i in ids}
     best = min(ids, key=lambda i: values[i])
@@ -196,7 +197,7 @@ def test_strict_nesting_forced_chain():
     previous = np.linalg.norm(ledger.half_sides[0])
     for _ in range(30):
         plan = sample_partition(ledger, 0, h)
-        divide_partition(ledger, 0, plan, division_order(plan))
+        divide_partition(ledger, 0, plan)
         current = np.linalg.norm(ledger.half_sides[0])
         assert current < previous
         previous = current

@@ -127,18 +127,15 @@ def test_dedup_at_most_three(rng):
         assert len(set(outcome.chosen)) == len(outcome.chosen)
 
 
-def test_criterion3_by_constant_switch():
+def test_criterion3_picks_lowest_bound_not_lowest_constant():
     # two max-diagonal partitions; bounds prefer one, constants the other
     ledger = PartitionLedger(1)
     ledger.append([0.5], [0], 5.0, [0.2])   # low constant, bad bound
     ledger.append([0.5], [0], 0.0, [3.0])   # high constant, good bound
     constants = np.array([0.2, 3.0])
     by_bound = select_halo(ledger, constants)
-    by_const = select_halo(ledger, constants, criterion3_by_constant=True)
     crit3_bound = [q for q in by_bound.chosen if by_bound.reasons[q].largest_best_bound]
-    crit3_const = [q for q in by_const.chosen if by_const.reasons[q].largest_best_bound]
     assert crit3_bound == [1]
-    assert crit3_const == [0]
 
 
 def test_potentially_optimal_single():
