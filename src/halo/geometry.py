@@ -11,7 +11,7 @@ an integer level per side: a side cut ``l`` times has half length
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,6 +55,7 @@ class BoxDomain:
 
     lower: np.ndarray
     upper: np.ndarray
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lower = np.atleast_1d(np.asarray(self.lower, dtype=float)).copy()
@@ -63,18 +64,14 @@ class BoxDomain:
             raise ValueError("lower and upper must be 1-d vectors of equal length >= 1")
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
-        lower.setflags(write=False)
-        upper.setflags(write=False)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
+        widths = upper - lower
+        for name, value in (("lower", lower), ("upper", upper), ("widths", widths)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.lower.size
-
-    @property
-    def widths(self) -> np.ndarray:
-        return self.upper - self.lower
 
 
 def normalize_point(p, domain: BoxDomain) -> np.ndarray:
@@ -96,8 +93,19 @@ def denormalize_point(q, domain: BoxDomain) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != domain.lower.shape:
         raise DomainViolationError(f"point has shape {q.shape}, domain is {domain.dim}-dimensional")
+    return denormalize_points(q, domain)
+
+
+def denormalize_points(q, domain: BoxDomain) -> np.ndarray:
+    """Map one point, or each row of a ``(k, N)`` block, from [0, 1]^N to problem units.
+
+    The map is elementwise, so every row gets the bits it would get alone.
+    """
+    q = np.asarray(q, dtype=float)
+    if q.ndim > 2 or q.shape[-1:] != domain.lower.shape:
+        raise DomainViolationError(f"points have shape {q.shape}, domain is {domain.dim}-dimensional")
     if np.any(q < 0.0) or np.any(q > 1.0):
-        raise DomainViolationError(f"normalized point {q} outside the unit cube")
+        raise DomainViolationError(f"normalized points {q} outside the unit cube")
     return domain.lower + q * domain.widths
 
 
@@ -107,11 +115,16 @@ class PartitionLedger:
     The size of a row is its level vector: side ``j`` has been trisected
     ``levels[j]`` times.  Only longest sides are ever cut, so the levels of
     a row lie in ``{k, k + 1}`` for some ``k``; ``append`` rejects any other
-    row and ``divide`` cuts nothing else.  Each row caches its half diagonal
-    and its depth ``levels.sum()``.  Rows of equal depth have the same sides
-    up to order, and a greater depth means a strictly smaller box.  Slope
-    rows hold nonnegative absolute difference quotients along each axis, in
-    objective units per normalized length.
+    row and ``divide`` cuts nothing else.  Rows of equal depth have the
+    same sides up to order, and a greater depth means a strictly smaller
+    box.  Slope rows hold nonnegative absolute difference quotients along
+    each axis, in objective units per normalized length.
+
+    Three columns are cached when a row is written: the half diagonal
+    ``norm(half_sides)``, the depth ``levels.sum()`` and the slope norm
+    ``norm(slopes)``.  So that they cannot go stale, every column is handed
+    out as a read-only view; rows change only through ``append`` and
+    ``divide``.
 
     Rows are never deleted: dividing a partition trisects it in place and
     appends the new children, so the set of rows always tiles the unit
@@ -128,6 +141,7 @@ class PartitionLedger:
         self._slopes = np.zeros((capacity, dim))
         self._half_diagonals = np.zeros(capacity)
         self._depths = np.zeros(capacity, dtype=np.int64)
+        self._slope_norms = np.zeros(capacity)
         self._count = 0
 
     def __len__(self) -> int:
@@ -137,15 +151,20 @@ class PartitionLedger:
     def dim(self) -> int:
         return self._dim
 
+    def _view(self, column: np.ndarray) -> np.ndarray:
+        view = column[: self._count]
+        view.flags.writeable = False
+        return view
+
     @property
     def centers(self) -> np.ndarray:
         """View of all centers, shape (count, dim). Stale after append."""
-        return self._centers[: self._count]
+        return self._view(self._centers)
 
     @property
     def levels(self) -> np.ndarray:
         """View of the trisection level of every side, shape (count, dim)."""
-        return self._levels[: self._count]
+        return self._view(self._levels)
 
     @property
     def half_sides(self) -> np.ndarray:
@@ -155,34 +174,36 @@ class PartitionLedger:
     @property
     def depths(self) -> np.ndarray:
         """View of every row's total level ``levels.sum()``."""
-        return self._depths[: self._count]
+        return self._view(self._depths)
 
     @property
     def values(self) -> np.ndarray:
-        return self._values[: self._count]
+        return self._view(self._values)
 
     @property
     def slopes(self) -> np.ndarray:
-        return self._slopes[: self._count]
+        return self._view(self._slopes)
 
     def _grow(self):
         cap = max(2 * self._centers.shape[0], 64)
-        for name in ("_centers", "_levels", "_values", "_slopes", "_half_diagonals", "_depths"):
+        for name in ("_centers", "_levels", "_values", "_slopes",
+                     "_half_diagonals", "_depths", "_slope_norms"):
             old = getattr(self, name)
             new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
             new[: self._count] = old[: self._count]
             setattr(self, name, new)
 
     def _write(self, rows, levels: np.ndarray, slopes: np.ndarray):
-        """Store level and slope rows at ``rows`` and fill their cached sizes."""
+        """Store level and slope rows at ``rows`` and fill their cached columns."""
         if np.any(slopes < 0.0):
             raise ValueError("slopes are absolute and must be nonnegative")
         self._levels[rows] = levels
         self._slopes[rows] = slopes
         # the axis-1 norm of a block has, row by row, the bits of the same
-        # rows within a whole-matrix np.linalg.norm(half_sides, axis=1)
+        # rows within a whole-matrix axis-1 norm
         self._half_diagonals[rows] = np.linalg.norm(HALF_SIDES[levels], axis=1)
         self._depths[rows] = levels.sum(axis=1)
+        self._slope_norms[rows] = np.linalg.norm(slopes, axis=1)
 
     def _reserve(self, k: int) -> int:
         """Make room for ``k`` more rows; returns the first new id."""
@@ -241,7 +262,11 @@ class PartitionLedger:
 
     def half_diagonals(self) -> np.ndarray:
         """View of every row's distance from center to vertex."""
-        return self._half_diagonals[: self._count]
+        return self._view(self._half_diagonals)
+
+    def slope_norms(self) -> np.ndarray:
+        """View of every slope row's Euclidean norm."""
+        return self._view(self._slope_norms)
 
     def total_volume(self) -> float:
         """Sum of box volumes; equals 1 whenever the rows tile the cube."""
@@ -274,10 +299,16 @@ class ObjectiveHandle:
         self.eval_count += 1
         return value
 
+    def to_problem_units(self, q) -> np.ndarray:
+        """Map a ``(k, N)`` block of normalized points to problem units.
+
+        Clips ulp-level drift at the faces first.
+        """
+        return denormalize_points(np.clip(np.asarray(q, dtype=float), 0.0, 1.0), self.domain)
+
     def eval_normalized(self, q) -> float:
-        """Evaluate at a normalized point; clips ulp-level drift at the faces."""
-        q = np.clip(np.asarray(q, dtype=float), 0.0, 1.0)
-        return self.evaluate(denormalize_point(q, self.domain))
+        """Evaluate at one normalized point, mapped as a one-row block."""
+        return self.evaluate(self.to_problem_units(np.asarray(q, dtype=float)[None])[0])
 
 
 @dataclass

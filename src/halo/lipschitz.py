@@ -1,9 +1,11 @@
-"""Slope norms, blending and lower bounds.
+"""Blending of cached slope norms, and lower bounds.
 
 Each partition carries a vector of absolute difference quotients along the
-coordinate axes, written when it is divided (see ``divide_partition``).
-The blend of a partition's own slope norm with the ledger-wide maximum
-gives the local constant used to form lower bounds.
+coordinate axes, written when it is divided (see ``divide_partition``); the
+ledger caches each row's norm as it writes the row
+(``PartitionLedger.slope_norms``).  The blend of a partition's own slope
+norm with the ledger-wide maximum gives the local constant used to form
+lower bounds.
 """
 
 from __future__ import annotations
@@ -13,16 +15,11 @@ import numpy as np
 from .geometry import PartitionLedger
 
 
-def slope_norms(ledger: PartitionLedger) -> np.ndarray:
-    """Euclidean norm of every slope row."""
-    return np.linalg.norm(ledger.slopes, axis=1)
-
-
 def global_slope_max(ledger: PartitionLedger) -> float:
     """Largest slope-row norm over the whole ledger; the global estimate."""
     if len(ledger) == 0:
         raise ValueError("ledger is empty")
-    return float(slope_norms(ledger).max())
+    return float(ledger.slope_norms().max())
 
 
 def blend(alpha, global_constant, slope_norm):
@@ -43,7 +40,7 @@ def blend_constants(ledger: PartitionLedger, global_constant: float) -> np.ndarr
     capped at 1, which the root reaches.
     """
     alphas = np.minimum(2.0 * ledger.half_diagonals() / np.sqrt(ledger.dim), 1.0)
-    return blend(alphas, global_constant, slope_norms(ledger))
+    return blend(alphas, global_constant, ledger.slope_norms())
 
 
 def lower_bounds(ledger: PartitionLedger, constants: np.ndarray) -> np.ndarray:

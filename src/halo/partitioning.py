@@ -68,34 +68,35 @@ def sample_partition(
     Consumes exactly ``2 * len(coords)`` evaluations.  If that would push
     ``obj.eval_count`` past ``max_fun_evals`` the plan is abandoned before
     any evaluation and BudgetExhaustedError is raised: partial divisions
-    would break the tiling of the cube.
+    would break the tiling of the cube.  The points are built and mapped to
+    problem units as one block, then evaluated one at a time (plus before
+    minus, coordinates ascending) with ``on_eval`` after each, so an
+    exception from ``on_eval`` stops the sampling at that point.
     """
-    center = ledger.centers[pid].copy()
+    center = ledger.centers[pid]
     levels = ledger.levels[pid]
     coords = longest_side_coords(levels)
     delta = 2.0 * float(HALF_SIDES[levels.min()]) / 3.0
-    if max_fun_evals is not None and obj.eval_count + 2 * len(coords) > max_fun_evals:
+    k = len(coords)
+    if max_fun_evals is not None and obj.eval_count + 2 * k > max_fun_evals:
         raise BudgetExhaustedError(
-            f"sampling partition {pid} needs {2 * len(coords)} evaluations, "
+            f"sampling partition {pid} needs {2 * k} evaluations, "
             f"only {max_fun_evals - obj.eval_count} remain"
         )
-    points_plus, points_minus, values_plus, values_minus = [], [], [], []
-    for p in coords:
-        xp = center.copy()
-        xp[p] += delta
-        fp = obj.eval_normalized(xp)
+    # rows 2j and 2j + 1 are center +/- delta along coords[j]
+    points = np.repeat(center[None], 2 * k, axis=0)
+    plus = np.arange(0, 2 * k, 2)
+    points[plus, coords] += delta
+    points[plus + 1, coords] -= delta
+    values = []
+    for q, x in zip(points, obj.to_problem_units(points)):
+        f = obj.evaluate(x)
         if on_eval is not None:
-            on_eval(xp, fp)
-        xm = center.copy()
-        xm[p] -= delta
-        fm = obj.eval_normalized(xm)
-        if on_eval is not None:
-            on_eval(xm, fm)
-        points_plus.append(xp)
-        points_minus.append(xm)
-        values_plus.append(fp)
-        values_minus.append(fm)
-    return SamplePlan(pid, delta, coords, points_plus, points_minus, values_plus, values_minus)
+            on_eval(q, f)
+        values.append(f)
+    return SamplePlan(
+        pid, delta, coords, list(points[0::2]), list(points[1::2]), values[0::2], values[1::2]
+    )
 
 
 def division_order(plan: SamplePlan) -> list[int]:

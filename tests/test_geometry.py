@@ -94,6 +94,14 @@ def test_box_domain_validation():
         BoxDomain([], [])
 
 
+def test_domain_widths_are_computed_once_and_read_only():
+    d = BoxDomain([-3.0, 2.0, 0.5], [1.0, 4.0, 2.0])
+    assert d.widths.tobytes() == (d.upper - d.lower).tobytes()
+    assert d.widths is d.widths
+    with pytest.raises(ValueError):
+        d.widths[0] = 1.0
+
+
 def test_stop_rule_validation():
     StopRule()
     with pytest.raises(ValueError):
@@ -139,6 +147,35 @@ def test_ledger_ids_dense_and_append_only():
     assert ledger.half_diagonals()[5] == pytest.approx(np.sqrt(2.0) / 2.0)
 
 
+def test_ledger_slope_norms_survive_growth():
+    ledger = PartitionLedger(2)
+    for i in range(100):  # past the initial capacity of 64 rows
+        ledger.append(np.full(2, 0.5), [0, 0], 0.0, [3.0 * i, 4.0 * i])
+    norms = ledger.slope_norms()
+    assert norms.tolist() == [5.0 * i for i in range(100)]
+    assert norms.tobytes() == np.linalg.norm(ledger.slopes, axis=1).tobytes()
+
+
+def test_ledger_views_are_read_only():
+    ledger = PartitionLedger(2)
+    ledger.append(np.full(2, 0.5), [0, 0], 1.0, [3.0, 4.0])
+    views = (
+        ledger.centers,
+        ledger.levels,
+        ledger.values,
+        ledger.slopes,
+        ledger.depths,
+        ledger.half_diagonals(),
+        ledger.slope_norms(),
+    )
+    for view in views:
+        with pytest.raises(ValueError):
+            view[0] = 0
+    ledger.append(np.full(2, 0.5), [1, 1], 2.0, [0.0, 1.0])
+    assert ledger.values.tolist() == [1.0, 2.0]
+    assert ledger.slope_norms().tolist() == [5.0, 1.0]
+
+
 def test_ledger_partition_copies_are_detached():
     ledger = PartitionLedger(1)
     ledger.append([0.5], [0], 1.0, [2.0])
@@ -152,13 +189,14 @@ def test_ledger_rejects_negative_slopes():
     ledger = PartitionLedger(1)
     with pytest.raises(ValueError):
         ledger.append([0.5], [0], 1.0, [-0.5])
-    ledger.append([0.5], [0], 1.0)
+    ledger.append([0.5], [0], 1.0, [2.0])
     with pytest.raises(ValueError):
         ledger.divide(0, [0], [[5 / 6], [1 / 6]], [0.0, 0.0], [-1.0], [[0.0], [0.0]])
     with pytest.raises(ValueError):
         ledger.divide(0, [0], [[5 / 6], [1 / 6]], [0.0, 0.0], [0.0], [[0.0], [-1.0]])
     assert len(ledger) == 1
-    assert ledger.levels.tolist() == [[0]] and ledger.slopes.tolist() == [[0.0]]
+    assert ledger.levels.tolist() == [[0]] and ledger.slopes.tolist() == [[2.0]]
+    assert ledger.slope_norms().tolist() == [2.0]
 
 
 def test_root_volume():

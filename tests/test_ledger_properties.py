@@ -63,6 +63,9 @@ def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_sea
     diags = ledger.half_diagonals()
     assert diags.tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
 
+    # so are the cached slope norms
+    assert ledger.slope_norms().tobytes() == np.linalg.norm(ledger.slopes, axis=1).tobytes()
+
     # integer size classes are the old tolerance classes of the diagonals
     by_depth = {frozenset(np.flatnonzero(depths == d).tolist()) for d in set(depths.tolist())}
     assert by_depth == tolerance_classes(diags)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halo.geometry import BudgetExhaustedError, PartitionLedger, StopRule
+from halo.geometry import HALF_SIDES, BudgetExhaustedError, PartitionLedger, StopRule
 from halo.partitioning import (
     division_order,
     divide_partition,
@@ -98,6 +98,33 @@ def test_sample_points_inside_parent_box():
     sides = ledger.half_sides[0]
     for p in plan.points_plus + plan.points_minus:
         assert np.all(np.abs(p - center) <= sides + 1e-15)
+
+
+def test_sampling_evaluates_and_records_one_point_at_a_time():
+    class Stop(Exception):
+        pass
+
+    evaluated = []
+    h = unit_handle(lambda x: evaluated.append(x.copy()) or float(np.sum(x)), 3)
+    ledger = init_root(h)
+    recorded = []
+
+    def on_eval(q, f):
+        recorded.append(q.copy())
+        if len(recorded) == 3:
+            raise Stop
+
+    with pytest.raises(Stop):
+        sample_partition(ledger, 0, h, on_eval=on_eval)
+    assert len(evaluated) == 4 and h.eval_count == 4  # root + 3 samples
+    delta = 2.0 * float(HALF_SIDES[0]) / 3.0
+    expected = []
+    for coord, step in ((0, delta), (0, -delta), (1, delta)):  # +e0, -e0, +e1
+        point = np.full(3, 0.5)
+        point[coord] += step
+        expected.append(point.tobytes())
+    assert [q.tobytes() for q in recorded] == expected
+    assert [x.tobytes() for x in evaluated[1:]] == expected  # unit box: same bits
 
 
 def test_sample_budget_pre_check_spends_nothing():
