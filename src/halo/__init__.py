@@ -19,7 +19,7 @@ from .geometry import (
     normalize_point,
 )
 from .lipschitz import blend_constants, global_slope_max
-from .local_search import ExclusionRegistry, LocalResult, coordinate_descent_minimize, gate_local_search
+from .local_search import LocalResult, coordinate_descent_minimize, gate_local_search
 from .manifest import load_manifest, problem_from_record, write_manifest
 from .metrics import (
     BenchmarkReport,
@@ -31,7 +31,6 @@ from .metrics import (
 )
 from .partitioning import (
     SamplePlan,
-    division_order,
     divide_partition,
     init_root,
     sample_partition,
@@ -58,7 +57,6 @@ __all__ = [
     "denormalize_point",
     "init_root",
     "sample_partition",
-    "division_order",
     "divide_partition",
     "SamplePlan",
     "global_slope_max",
@@ -67,7 +65,6 @@ __all__ = [
     "select_halo",
     "select_hlo",
     "select_potentially_optimal",
-    "ExclusionRegistry",
     "LocalResult",
     "gate_local_search",
     "coordinate_descent_minimize",

@@ -44,7 +44,10 @@ def _resolve_problem(ref: str, n: int, seed: int):
     path, _, index = ref.partition("#")
     if os.path.exists(path):
         records = load_manifest(path)
-        i = int(index) if index else 0
+        try:
+            i = int(index) if index else 0
+        except ValueError:
+            raise click.UsageError(f"manifest index must be an integer, got #{index}") from None
         if not 0 <= i < len(records):
             raise click.UsageError(f"manifest {path} has {len(records)} records, asked for #{i}")
         return problem_from_record(records[i])
@@ -64,10 +67,10 @@ def main():
 @main.command()
 @click.option("--problem", required=True, help="Function name, 'schoen', or manifest ref path#index.")
 @click.option("--variant", type=click.Choice(["halo", "hlo", "direct"]), default="halo", show_default=True)
-@click.option("--budget", type=int, default=30000, show_default=True, help="Maximum function evaluations.")
+@click.option("--budget", type=click.IntRange(min=1), default=30000, show_default=True, help="Maximum function evaluations.")
 @click.option("--beta", type=float, default=1e-4, show_default=True, help="Half-diagonal gate for local search.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Seed for generated problems.")
-@click.option("--n", type=int, default=2, show_default=True, help="Dimension for generic problems.")
+@click.option("--n", type=click.IntRange(min=1), default=2, show_default=True, help="Dimension for generic problems.")
 @click.option("--tol", type=float, default=1e-4, show_default=True, help="Relative error tolerance.")
 @click.option("--local-search/--no-local-search", default=True, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the evaluation trace (JSONL).")
@@ -97,11 +100,11 @@ def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--variant", type=click.Choice(["halo", "hlo", "direct"]), default="halo", show_default=True)
-@click.option("--budget", type=int, default=30000, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=30000, show_default=True)
 @click.option("--beta", type=float, default=1e-4, show_default=True)
 @click.option("--tol", type=float, default=1e-4, show_default=True)
 @click.option("--local-search/--no-local-search", default=True, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True, help="Worker processes.")
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Report document path (.json).")
 def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
     """Run a whole manifest and write the report (JSON plus flat CSV)."""
@@ -147,6 +150,7 @@ def report(inputs, show_auoc, oc_csv, importance_csv):
             f"{path}: problems={agg['problems']} percent_solved={fmt_float(agg['percent_solved'])} "
             f"avg_evals_solved={'-' if agg['average_evals_solved'] is None else fmt_float(agg['average_evals_solved'])}"
         )
+        line += f" mean_local_searches={fmt_float(sum(r.n_local_searches for r in rows) / len(rows))}"
         if show_auoc:
             line += f" auoc={fmt_float(agg['auoc'])}"
         click.echo(line)
@@ -170,8 +174,8 @@ def report(inputs, show_auoc, oc_csv, importance_csv):
 
 @main.command()
 @click.option("--family", type=click.Choice(["schoen", "classical"]), default="schoen", show_default=True)
-@click.option("--n", type=int, required=True, help="Problem dimension.")
-@click.option("--count", type=int, default=None, help="Number of problems (schoen: required).")
+@click.option("--n", type=click.IntRange(min=1), required=True, help="Problem dimension.")
+@click.option("--count", type=click.IntRange(min=1), default=None, help="Number of problems (schoen: required).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def gen(family, n, count, seed, out):

@@ -9,7 +9,7 @@ projected onto the unit cube.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,18 +25,8 @@ ARMIJO_GAMMA = 1e-6
 STEP_EXPAND = 2.0
 STEP_SHRINK = 0.5
 
-
-@dataclass
-class ExclusionRegistry:
-    """Ids of partition centers near which local searches must not restart."""
-
-    members: set[int] = field(default_factory=set)
-    radius: float = 1e-4
-    beta: float = 1e-4
-
-    def __post_init__(self):
-        if self.radius <= 0.0 or self.beta < 0.0:
-            raise ValueError("radius must be positive and beta nonnegative")
+# A local search may not start within this distance of an earlier start.
+EXCLUSION_RADIUS = 1e-4
 
 
 @dataclass
@@ -50,30 +40,31 @@ class LocalResult:
 
 
 def gate_local_search(
-    candidate_id: int, ledger: PartitionLedger, registry: ExclusionRegistry
+    candidate_id: int, ledger: PartitionLedger, excluded: set[int], beta: float
 ) -> str:
     """Decide what to do with a lowest-bound or lowest-value winner.
 
-    Too large a partition is simply divided.  A small one starts a local
-    search when no registered point lies within ``radius`` of its center,
-    in which case the candidate and every ledger point inside that ball
-    join the registry; otherwise the candidate is only registered and is
-    neither sampled nor divided this iteration.
+    A partition whose half diagonal exceeds ``beta`` is simply divided.  A
+    small one starts a local search when no excluded center lies within
+    ``EXCLUSION_RADIUS`` of its center, in which case the candidate and
+    every ledger center inside that ball join ``excluded``; otherwise the
+    candidate is only excluded and is neither sampled nor divided this
+    iteration.
     """
     # the 1-d norm, which can differ from half_diagonals() in the last bit
     half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[candidate_id]]))
-    if half_diag > registry.beta:
+    if half_diag > beta:
         return SELECT_FOR_DIVISION
     center = ledger.centers[candidate_id]
-    if registry.members:
-        member_ids = np.fromiter(registry.members, dtype=int)
+    if excluded:
+        member_ids = np.fromiter(excluded, dtype=int)
         dists = np.linalg.norm(ledger.centers[member_ids] - center, axis=1)
-        if bool((dists <= registry.radius).any()):
-            registry.members.add(candidate_id)
+        if bool((dists <= EXCLUSION_RADIUS).any()):
+            excluded.add(candidate_id)
             return SKIP_DIVISION_ONLY
-    near = np.flatnonzero(np.linalg.norm(ledger.centers - center, axis=1) <= registry.radius)
-    registry.members.update(int(i) for i in near)
-    registry.members.add(candidate_id)
+    near = np.flatnonzero(np.linalg.norm(ledger.centers - center, axis=1) <= EXCLUSION_RADIUS)
+    excluded.update(int(i) for i in near)
+    excluded.add(candidate_id)
     return RUN
 
 

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import PartitionLedger
+from .local_search import EXCLUSION_RADIUS
 from .manifest import problem_from_record
 from .solver import DIRECT_EPSILON_REL, STATUS_SOLVED, RunTrace, SolverConfig, relative_error, run
 
@@ -33,6 +34,7 @@ class RunRecord:
     rel_error: float
     importance: Optional[list[float]] = None
     error: Optional[str] = None
+    n_local_searches: int = 0
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,7 @@ def record_from_trace(problem_name: str, n: int, variant: str, trace: RunTrace,
         best_value=trace.best_value,
         rel_error=rel,
         importance=importance,
+        n_local_searches=trace.n_local_searches,
     )
 
 
@@ -179,7 +182,7 @@ def build_report(rows: list[RunRecord], cfg: SolverConfig, metadata: Optional[di
     meta = {
         "variant": cfg.variant,
         "beta": cfg.beta,
-        "exclusion_radius": cfg.exclusion_radius,
+        "exclusion_radius": EXCLUSION_RADIUS,
         "max_fun_evals": cfg.stop.max_fun_evals,
         "rel_error_tol": cfg.stop.rel_error_tol,
         "local_search_enabled": cfg.local_search_enabled,

@@ -5,8 +5,10 @@ The scheme keeps the parent's center: new points are placed at distance
 coordinate, then the box is cut into thirds along those coordinates, one
 coordinate at a time, so the best new value ends up in the largest child.
 The longest sides of a box are those at its lowest trisection level.
-The same division step refreshes the slope rows from the new samples:
-central differences for the parent, forward differences for the children.
+Sampling returns its points as one block already in division order, and
+the division step hands that block to the ledger as it stands, refreshing
+the slope rows from the same samples: central differences for the parent,
+forward differences for the children.
 """
 
 from __future__ import annotations
@@ -25,18 +27,18 @@ OnEval = Callable[[np.ndarray, float], None]
 class SamplePlan:
     """Evaluated sample points for one partition about to be divided.
 
-    For each coordinate in ``coords`` (the longest-side set of the parent)
-    the plan holds the pair ``center +/- delta * e_p`` and its objective
-    values, in the order the points were evaluated.
+    ``coords`` is the longest-side set of the parent in division order:
+    ascending by the lower of the two new values, ties to the lower
+    coordinate.  Rows ``2j`` and ``2j + 1`` of the ``(2k, n)`` block
+    ``points`` are ``center +/- delta`` along ``coords[j]``, and ``values``
+    holds their objective values.
     """
 
     parent_id: int
     delta: float
     coords: list[int]
-    points_plus: list[np.ndarray]
-    points_minus: list[np.ndarray]
-    values_plus: list[float]
-    values_minus: list[float]
+    points: np.ndarray
+    values: np.ndarray
 
 
 def longest_side_coords(levels: np.ndarray) -> list[int]:
@@ -71,7 +73,8 @@ def sample_partition(
     would break the tiling of the cube.  The points are built and mapped to
     problem units as one block, then evaluated one at a time (plus before
     minus, coordinates ascending) with ``on_eval`` after each, so an
-    exception from ``on_eval`` stops the sampling at that point.
+    exception from ``on_eval`` stops the sampling at that point.  The
+    returned plan holds the pairs in division order.
     """
     center = ledger.centers[pid]
     levels = ledger.levels[pid]
@@ -94,29 +97,16 @@ def sample_partition(
         if on_eval is not None:
             on_eval(q, f)
         values.append(f)
-    return SamplePlan(
-        pid, delta, coords, list(points[0::2]), list(points[1::2]), values[0::2], values[1::2]
-    )
-
-
-def division_order(plan: SamplePlan) -> list[int]:
-    """Coordinates of the plan sorted by the lower of their two new values.
-
-    Ascending, so the coordinate holding the best new point is divided
-    first and its children keep the largest boxes.  Ties break toward the
-    lower coordinate index.
-    """
-    keyed = [
-        (min(plan.values_plus[i], plan.values_minus[i]), coord)
-        for i, coord in enumerate(plan.coords)
-    ]
-    return [coord for _, coord in sorted(keyed)]
+    # the best new point is cut first, so it lands in the largest child
+    order = sorted(range(k), key=lambda j: (min(values[2 * j], values[2 * j + 1]), coords[j]))
+    rows = [r for j in order for r in (2 * j, 2 * j + 1)]
+    return SamplePlan(pid, delta, [coords[j] for j in order], points[rows], np.array(values)[rows])
 
 
 def divide_partition(ledger: PartitionLedger, pid: int, plan: SamplePlan) -> list[int]:
     """Trisect partition ``pid`` under ``plan`` and seed every new slope row.
 
-    Coordinates are cut in ``division_order(plan)``; at each cut the two
+    Coordinates are cut in ``plan.coords`` order; at each cut the two
     sampled points become centers of the outer thirds, which take the box
     extents as they stand at that step (see ``PartitionLedger.divide``).
     On every divided coordinate p the parent's slope becomes the central
@@ -124,22 +114,17 @@ def divide_partition(ledger: PartitionLedger, pid: int, plan: SamplePlan) -> lis
     parent's pre-division row with its own cut coordinate replaced by the
     forward difference ``|f(child) - f(parent)| / delta``; its other
     coordinates are inherited unchanged, even if stale.  Returns the new
-    ids in creation order (plus point first).
+    ids in plan row order.
     """
-    order = division_order(plan)
-    centers, values = [], []
-    for coord in order:
-        i = plan.coords.index(coord)
-        centers += [plan.points_plus[i], plan.points_minus[i]]
-        values += [plan.values_plus[i], plan.values_minus[i]]
+    if plan.delta == 0.0:
+        # at MAX_LEVEL the box has no width left to form a difference over
+        raise ZeroDivisionError(f"partition {pid} is below float resolution: delta is 0")
+    values = plan.values
     base = ledger.slopes[pid]
-    parent_value = float(ledger.values[pid])
-    child_slopes = np.tile(base, (len(values), 1))
-    child_slopes[np.arange(len(values)), np.repeat(order, 2)] = [
-        abs(f - parent_value) / plan.delta for f in values
-    ]
+    child_slopes = np.repeat(base[None], len(values), axis=0)
+    child_slopes[np.arange(len(values)), np.repeat(plan.coords, 2)] = (
+        np.abs(values - ledger.values[pid]) / plan.delta
+    )
     parent_slopes = base.copy()
-    parent_slopes[plan.coords] = [
-        abs(fp - fm) / (2.0 * plan.delta) for fp, fm in zip(plan.values_plus, plan.values_minus)
-    ]
-    return ledger.divide(pid, order, centers, values, parent_slopes, child_slopes)
+    parent_slopes[plan.coords] = np.abs(values[0::2] - values[1::2]) / (2.0 * plan.delta)
+    return ledger.divide(pid, plan.coords, plan.points, values, parent_slopes, child_slopes)

@@ -26,7 +26,6 @@ from .lipschitz import blend_constants, global_slope_max
 from .local_search import (
     RUN,
     SELECT_FOR_DIVISION,
-    ExclusionRegistry,
     coordinate_descent_minimize,
     gate_local_search,
 )
@@ -52,15 +51,14 @@ class SolverConfig:
 
     variant: str = "halo"
     beta: float = 1e-4
-    exclusion_radius: float = 1e-4
     stop: StopRule = field(default_factory=StopRule)
     local_search_enabled: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.beta < 0.0 or self.exclusion_radius <= 0.0:
-            raise ValueError("beta must be nonnegative, radius positive")
+        if self.beta < 0.0:
+            raise ValueError("beta must be nonnegative")
 
 
 @dataclass
@@ -155,7 +153,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
             ledger=ledger,
         )
 
-    registry = ExclusionRegistry(radius=cfg.exclusion_radius, beta=cfg.beta)
+    excluded: set[int] = set()  # partitions near which no local search may start
     status = STATUS_ITER_LIMIT
     try:
         ledger = init_root(obj, on_eval=record)
@@ -187,7 +185,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                     and reason is not None
                     and reason.local_search_candidate
                 ):
-                    decision = gate_local_search(pid, ledger, registry)
+                    decision = gate_local_search(pid, ledger, excluded, cfg.beta)
                     if decision != SELECT_FOR_DIVISION:
                         if decision == RUN:
                             n_local += 1

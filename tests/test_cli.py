@@ -1,10 +1,14 @@
 import json
 import time
+from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from halo.cli import main
 from halo.serialize import read_json, read_jsonl
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
 
 def invoke(*args):
@@ -35,6 +39,8 @@ def test_gen_bench_report_round_trip(tmp_path):
     out = invoke("report", "--in", str(report_path), "--auoc",
                  "--oc-csv", str(oc_csv), "--importance-csv", str(imp_csv))
     assert "auoc=" in out.output
+    searches = sum(r["n_local_searches"] for r in doc["rows"])
+    assert f"mean_local_searches={searches / 4:.17g}" in out.output
     rows = oc_csv.read_text().splitlines()
     assert rows[0] == "gamma,c"
     cs = [float(line.split(",")[1]) for line in rows[1:]]
@@ -46,11 +52,11 @@ def test_bench_output_is_byte_identical_across_runs(tmp_path):
     manifest = tmp_path / "m.jsonl"
     invoke("gen", "--family", "schoen", "--n", "2", "--count", "2", "--seed", "0",
            "--out", str(manifest))
-    for name in ("a", "b"):
+    for name, jobs in (("a", "1"), ("b", "2")):
         if name == "b":
             time.sleep(1.0)  # a wall-clock stamp in the output would differ
         (tmp_path / name).mkdir()
-        invoke("bench", "--manifest", str(manifest), "--budget", "300",
+        invoke("bench", "--manifest", str(manifest), "--budget", "300", "--jobs", jobs,
                "--out", str(tmp_path / name / "report.json"))
     for suffix in (".json", ".csv"):
         a = (tmp_path / "a" / "report").with_suffix(suffix).read_bytes()
@@ -106,3 +112,25 @@ def test_trace_floats_are_17_digit(tmp_path):
     first = trace_path.read_text().splitlines()[0]
     record = json.loads(first)
     assert set(record) == {"eval_index", "value", "best"}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("gen", "--family", "classical", "--n", "2", "--count", "-1"),
+        ("gen", "--family", "classical", "--n", "2", "--count", "0"),
+        ("gen", "--family", "schoen", "--n", "0", "--count", "2"),
+        ("solve", "--problem", f"{BENCH_DIR / 'schoen30.jsonl'}#x"),
+        ("solve", "--problem", "sphere", "--n", "0"),
+        ("solve", "--problem", "sphere", "--budget", "0"),
+        ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--budget", "0"),
+        ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--jobs", "0"),
+    ],
+    ids=["gen-count-negative", "gen-count-zero", "gen-n-zero", "solve-index-not-int",
+         "solve-n-zero", "solve-budget-zero", "bench-budget-zero", "bench-jobs-zero"],
+)
+def test_bad_input_is_a_usage_error_and_writes_nothing(tmp_path, args):
+    out = tmp_path / "out.json"
+    result = CliRunner().invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert list(tmp_path.iterdir()) == []

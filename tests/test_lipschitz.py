@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from halo.geometry import PartitionLedger
 from halo.lipschitz import blend, blend_constants, global_slope_max, lower_bounds
-from halo.partitioning import division_order, divide_partition, init_root, sample_partition
+from halo.partitioning import divide_partition, init_root, sample_partition
 
 from conftest import unit_handle
 from oracles import blend_local_constant, central_difference
@@ -52,7 +52,7 @@ def test_children_inherit_pre_update_rows():
     plan, children = divide_once(h, ledger, 0)
     # parent refreshed by central differences on both coordinates
     assert np.allclose(ledger.slopes[0], [1.0, 2.0], atol=1e-12)
-    for cid, divided_coord in zip(children, np.repeat(division_order(plan), 2)):
+    for cid, divided_coord in zip(children, np.repeat(plan.coords, 2)):
         other = 1 - divided_coord
         # the untouched coordinate keeps the pre-division value, not the refresh
         assert ledger.slopes[cid][other] == {0: 7.0, 1: 9.0}[other]
@@ -65,9 +65,28 @@ def test_child_slope_below_float_resolution_uses_cut_axis():
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [36, 36], h.eval_normalized([0.5, 0.5]), [7.0, 9.0])
     plan, children = divide_once(h, ledger, 0)
-    assert all(np.array_equal(p, ledger.centers[0]) for p in plan.points_plus + plan.points_minus)
-    assert division_order(plan) == [0, 1]
+    assert all(np.array_equal(p, ledger.centers[0]) for p in plan.points)
+    assert plan.coords == [0, 1]
     assert ledger.slopes[children].tolist() == [[0.0, 9.0]] * 2 + [[7.0, 0.0]] * 2
+
+
+def test_division_slopes_match_scalar_loop():
+    # every refreshed slope has the bits of the Python-float difference quotient
+    h = unit_handle(lambda x: float(np.sum(np.cos(9.0 * x)) + x[0] * x[1]), 3)
+    ledger = init_root(h)
+    for pid in (0, 1, 0, 4):
+        before = ledger.slopes[pid].copy()
+        parent_value = float(ledger.values[pid])
+        plan, children = divide_once(h, ledger, pid)
+        values = [float(v) for v in plan.values]
+        expected = before.copy()
+        for j, coord in enumerate(plan.coords):
+            expected[coord] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * plan.delta)
+        assert ledger.slopes[pid].tobytes() == expected.tobytes()
+        for row, cid in enumerate(children):
+            expected = before.copy()
+            expected[plan.coords[row // 2]] = abs(values[row] - parent_value) / plan.delta
+            assert ledger.slopes[cid].tobytes() == expected.tobytes()
 
 
 def test_rectangle_division_leaves_other_coordinates_unchanged():

@@ -2,10 +2,10 @@ import numpy as np
 
 from halo.geometry import PartitionLedger, StopRule
 from halo.local_search import (
+    EXCLUSION_RADIUS,
     RUN,
     SELECT_FOR_DIVISION,
     SKIP_DIVISION_ONLY,
-    ExclusionRegistry,
     coordinate_descent_minimize,
     gate_local_search,
 )
@@ -25,43 +25,43 @@ def small_ledger(centers, level=9):
 def test_gate_large_partition_divides():
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [1, 1], 0.0)  # half diagonal 0.24
-    registry = ExclusionRegistry(beta=1e-4)
-    assert gate_local_search(0, ledger, registry) == SELECT_FOR_DIVISION
-    assert registry.members == set()
+    excluded = set()
+    assert gate_local_search(0, ledger, excluded, 1e-4) == SELECT_FOR_DIVISION
+    assert excluded == set()
 
 
 def test_gate_runs_when_registry_empty():
     ledger = small_ledger([[0.5, 0.5], [0.9, 0.9]])
-    registry = ExclusionRegistry(beta=1e-4, radius=1e-4)
-    assert gate_local_search(0, ledger, registry) == RUN
-    assert 0 in registry.members
-    assert 1 not in registry.members  # far away, not swept up
+    excluded = set()
+    assert gate_local_search(0, ledger, excluded, 1e-4) == RUN
+    assert 0 in excluded
+    assert 1 not in excluded  # far away, not swept up
 
 
 def test_gate_run_collects_points_within_radius():
     near = [0.5 + 5e-5, 0.5]
     ledger = small_ledger([[0.5, 0.5], near, [0.9, 0.9]])
-    registry = ExclusionRegistry(beta=1e-4, radius=1e-4)
-    assert gate_local_search(0, ledger, registry) == RUN
-    assert registry.members == {0, 1}
+    excluded = set()
+    assert gate_local_search(0, ledger, excluded, 1e-4) == RUN
+    assert excluded == {0, 1}
 
 
 def test_gate_skips_near_previous_start():
     near = [0.5 + 5e-5, 0.5]
     ledger = small_ledger([[0.5, 0.5], near])
-    registry = ExclusionRegistry(beta=1e-4, radius=1e-4)
-    assert gate_local_search(0, ledger, registry) == RUN
-    decision = gate_local_search(1, ledger, registry)
+    excluded = set()
+    assert gate_local_search(0, ledger, excluded, 1e-4) == RUN
+    decision = gate_local_search(1, ledger, excluded, 1e-4)
     assert decision == SKIP_DIVISION_ONLY
-    assert registry.members == {0, 1}
+    assert excluded == {0, 1}
 
 
 def test_gate_member_skips_itself_forever():
     ledger = small_ledger([[0.5, 0.5]])
-    registry = ExclusionRegistry(beta=1e-4, radius=1e-4)
-    assert gate_local_search(0, ledger, registry) == RUN
+    excluded = set()
+    assert gate_local_search(0, ledger, excluded, 1e-4) == RUN
     for _ in range(3):
-        assert gate_local_search(0, ledger, registry) == SKIP_DIVISION_ONLY
+        assert gate_local_search(0, ledger, excluded, 1e-4) == SKIP_DIVISION_ONLY
 
 
 def test_coordinate_descent_on_parabola():
@@ -127,7 +127,7 @@ def test_no_two_starts_within_radius_over_full_run():
     assert len(starts) >= 2
     for i in range(len(starts)):
         for j in range(i + 1, len(starts)):
-            assert np.linalg.norm(starts[i] - starts[j]) > cfg.exclusion_radius
+            assert np.linalg.norm(starts[i] - starts[j]) > EXCLUSION_RADIUS
 
 
 def test_beta_zero_trace_bit_identical_to_disabled():

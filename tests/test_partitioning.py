@@ -3,7 +3,6 @@ import pytest
 
 from halo.geometry import HALF_SIDES, BudgetExhaustedError, PartitionLedger, StopRule
 from halo.partitioning import (
-    division_order,
     divide_partition,
     init_root,
     longest_side_coords,
@@ -12,6 +11,19 @@ from halo.partitioning import (
 from halo.solver import SolverConfig, run
 
 from conftest import unit_handle
+
+
+def lookup_objective(plus, minus):
+    """Objective worth plus[i] / minus[i] at center +/- delta * e_i, 0 at the center."""
+
+    def fn(x):
+        offset = x - 0.5
+        i = int(np.argmax(np.abs(offset)))
+        if offset[i] == 0.0:
+            return 0.0
+        return float((plus if offset[i] > 0.0 else minus)[i])
+
+    return fn
 
 
 def test_init_root_n2():
@@ -66,7 +78,7 @@ def test_sample_root_unit_square():
     assert plan.coords == [0, 1]
     assert h.eval_count == 5  # root + 4 samples
     expected = {(0.5 + 1 / 3, 0.5), (0.5 - 1 / 3, 0.5), (0.5, 0.5 + 1 / 3), (0.5, 0.5 - 1 / 3)}
-    got = {tuple(np.round(p, 12)) for p in plan.points_plus + plan.points_minus}
+    got = {tuple(np.round(p, 12)) for p in plan.points}
     assert got == {tuple(np.round(np.array(e), 12)) for e in expected}
 
 
@@ -74,8 +86,8 @@ def test_sample_root_1d():
     h = unit_handle(lambda x: float(x[0]), 1)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    assert plan.points_plus[0][0] == pytest.approx(5.0 / 6.0)
-    assert plan.points_minus[0][0] == pytest.approx(1.0 / 6.0)
+    assert plan.points[0::2][0][0] == pytest.approx(5.0 / 6.0)
+    assert plan.points[1::2][0][0] == pytest.approx(1.0 / 6.0)
 
 
 def test_sample_rectangle_only_longest():
@@ -85,8 +97,8 @@ def test_sample_rectangle_only_longest():
     plan = sample_partition(ledger, 0, h)
     assert plan.coords == [1]
     assert plan.delta == pytest.approx(1.0 / 3.0)
-    assert plan.points_plus[0][0] == 0.5  # untouched coordinate
-    assert plan.points_plus[0][1] == pytest.approx(0.5 + 1.0 / 3.0)
+    assert plan.points[0::2][0][0] == 0.5  # untouched coordinate
+    assert plan.points[0::2][0][1] == pytest.approx(0.5 + 1.0 / 3.0)
 
 
 def test_sample_points_inside_parent_box():
@@ -96,7 +108,7 @@ def test_sample_points_inside_parent_box():
     plan = sample_partition(ledger, 0, h)
     center = ledger.centers[0]
     sides = ledger.half_sides[0]
-    for p in plan.points_plus + plan.points_minus:
+    for p in plan.points:
         assert np.all(np.abs(p - center) <= sides + 1e-15)
 
 
@@ -137,24 +149,28 @@ def test_sample_budget_pre_check_spends_nothing():
 
 
 def test_division_order_sorts_by_min_value_then_coord():
-    h = unit_handle(lambda x: 0.0, 3)
+    fn = lookup_objective(plus=[5.0, 1.0, 3.0], minus=[9.0, 2.0, 1.0])
+    h = unit_handle(fn, 3)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    plan.values_plus[:] = [5.0, 1.0, 3.0]
-    plan.values_minus[:] = [9.0, 2.0, 1.0]
-    assert division_order(plan) == [1, 2, 0]
+    assert plan.coords == [1, 2, 0]
+    # rows 2j and 2j + 1 are center +/- delta along coords[j], with their values
+    for j, coord in enumerate(plan.coords):
+        for row, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
+            expected = np.full(3, 0.5)
+            expected[coord] += sign * plan.delta
+            assert plan.points[row].tobytes() == expected.tobytes()
+    assert plan.values.tolist() == [fn(p) for p in plan.points]
     # exact tie between coords 0 and 2 -> lower coordinate first
-    plan.values_plus[:] = [1.0, 5.0, 1.0]
-    plan.values_minus[:] = [2.0, 6.0, 3.0]
-    assert division_order(plan) == [0, 2, 1]
+    h = unit_handle(lookup_objective(plus=[1.0, 5.0, 1.0], minus=[2.0, 6.0, 3.0]), 3)
+    ledger = init_root(h)
+    assert sample_partition(ledger, 0, h).coords == [0, 2, 1]
 
 
 def test_divide_root_n2_order_0_then_1():
-    h = unit_handle(lambda x: float(np.sum(x**2)), 2)
+    h = unit_handle(lookup_objective(plus=[1.0, 3.0], minus=[2.0, 4.0]), 2)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    plan.values_plus[:] = [1.0, 3.0]
-    plan.values_minus[:] = [2.0, 4.0]
     ids = divide_partition(ledger, 0, plan)
     assert ids == [1, 2, 3, 4]
     sides = {i: tuple(ledger.half_sides[i]) for i in range(5)}
@@ -165,11 +181,9 @@ def test_divide_root_n2_order_0_then_1():
 
 
 def test_divide_root_n2_order_1_then_0_mirrors():
-    h = unit_handle(lambda x: float(np.sum(x**2)), 2)
+    h = unit_handle(lookup_objective(plus=[3.0, 1.0], minus=[4.0, 2.0]), 2)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    plan.values_plus[:] = [3.0, 1.0]
-    plan.values_minus[:] = [4.0, 2.0]
     divide_partition(ledger, 0, plan)
     third, half = 0.5 / 3.0, 0.5
     assert tuple(ledger.half_sides[1]) == (half, third)
