@@ -195,7 +195,7 @@ class PartitionLedger:
 
     def _write(self, rows, levels: np.ndarray, slopes: np.ndarray):
         """Store level and slope rows at ``rows`` and fill their cached columns."""
-        if np.any(slopes < 0.0):
+        if (slopes < 0.0).any():
             raise ValueError("slopes are absolute and must be nonnegative")
         self._levels[rows] = levels
         self._slopes[rows] = slopes
@@ -226,36 +226,50 @@ class PartitionLedger:
         self._count += 1
         return i
 
-    def divide(self, pid: int, order, centers, values, parent_slopes, child_slopes) -> list[int]:
-        """Trisect partition ``pid`` along ``order`` and append its children.
+    def divide(self, pids, counts, order, centers, values, parent_slopes, child_slopes) -> list[int]:
+        """Trisect a block of partitions and append their children.
 
-        Cuts are made one coordinate at a time: the parent keeps the middle
-        third (its level on that side rises by one, staying put at
-        MAX_LEVEL, where the half side is already 0.0) and the two outer
-        thirds become rows ``2j`` and ``2j + 1`` of ``centers``, with the
-        levels the parent has right after cut ``j``.  Every cut must be a
-        longest side of the parent and no coordinate may repeat.  The parent
-        gets slope row ``parent_slopes``, the children ``child_slopes``.
-        Returns the new ids in row order.
+        Division ``i`` trisects partition ``pids[i]`` along its ``counts[i]``
+        entries of ``order`` (each division's cuts follow the previous
+        division's).  Cuts are made one coordinate at a time: the parent
+        keeps the middle third (its level on that side rises by one, staying
+        put at MAX_LEVEL, where the half side is already 0.0) and the two
+        outer thirds of cut ``j`` of the block become rows ``2j`` and
+        ``2j + 1`` of ``centers``, with the levels their parent has right
+        after that cut.  No id may repeat, and each division must cut
+        distinct longest sides of its parent.  The parents get the rows of
+        ``parent_slopes``, the children ``child_slopes``.  Returns the new
+        ids in row order.
         """
-        if not 0 <= pid < self._count:
-            raise IndexError(f"no partition with id {pid}")
-        order = np.asarray(order, dtype=np.intp)
-        row = self._levels[pid]
-        if len(set(order.tolist())) != order.size or np.any(row[order] != row.min()):
-            raise ValueError(f"cuts {order.tolist()} are not distinct longest sides of partition {pid}")
-        cuts = np.zeros((order.size, self._dim), dtype=np.int16)
-        cuts[np.arange(order.size), order] = 1
-        stages = np.minimum(row + np.cumsum(cuts, axis=0), MAX_LEVEL)
-        first = self._reserve(2 * order.size)
-        end = first + 2 * order.size
+        pids = np.array(pids, dtype=np.intp, ndmin=1)
+        counts = np.array(counts, dtype=np.intp, ndmin=1)
+        order = np.array(order, dtype=np.intp, ndmin=1)
+        m, k = pids.size, order.size
+        if m and not 0 <= pids.min() <= pids.max() < self._count:
+            raise IndexError(f"no partition with id among {pids.tolist()}")
+        if len(set(pids.tolist())) != m or counts.size != m or (counts < 1).any() or counts.sum() != k:
+            raise ValueError(f"{pids.tolist()} with cut counts {counts.tolist()} is not a block of divisions")
+        rows = self._levels[pids]
+        owner = np.arange(m).repeat(counts)
+        cuts = np.zeros((k, self._dim), dtype=np.int16)
+        cuts[np.arange(k), order] = 1
+        # cuts made so far within each division: a block-wide running sum
+        # minus its value before the division's first cut
+        done = cuts.cumsum(axis=0)
+        first_cut = counts.cumsum() - counts
+        stages = done - (done[first_cut] - cuts[first_cut])[owner]
+        if stages.max(initial=0) > 1 or (rows[owner, order] != rows.min(axis=1)[owner]).any():
+            raise ValueError(f"cuts {order.tolist()} are not distinct longest sides of partitions {pids.tolist()}")
+        stages = np.minimum(rows[owner] + stages, MAX_LEVEL)
+        first = self._reserve(2 * k)
+        end = first + 2 * k
         # rows past the count first: a rejected call leaves the ledger as it was
         self._centers[first:end] = centers
         self._values[first:end] = values
         self._write(
-            np.r_[pid, first:end],
-            np.vstack((stages[-1:], np.repeat(stages, 2, axis=0))),
-            np.vstack((parent_slopes, child_slopes)),
+            np.concatenate((pids, np.arange(first, end))),
+            np.concatenate((stages[first_cut + counts - 1], stages.repeat(2, axis=0))),
+            np.concatenate((parent_slopes, child_slopes)),
         )
         self._count = end
         return list(range(first, end))

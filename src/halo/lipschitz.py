@@ -43,6 +43,9 @@ def blend_constants(ledger: PartitionLedger, global_constant: float) -> np.ndarr
     return blend(alphas, global_constant, ledger.slope_norms())
 
 
-def lower_bounds(ledger: PartitionLedger, constants: np.ndarray) -> np.ndarray:
-    """Optimistic value every partition could contain: f(center) - L * halfdiag."""
+def lower_bounds(ledger: PartitionLedger, constants) -> np.ndarray:
+    """Optimistic value every partition could contain: f(center) - L * halfdiag.
+
+    ``constants`` is one L per partition, or one L for all of them.
+    """
     return ledger.values - constants * ledger.half_diagonals()

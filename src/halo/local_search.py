@@ -10,7 +10,7 @@ projected onto the unit cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -40,7 +40,11 @@ class LocalResult:
 
 
 def gate_local_search(
-    candidate_id: int, ledger: PartitionLedger, excluded: set[int], beta: float
+    candidate_id: int,
+    ledger: PartitionLedger,
+    excluded: set[int],
+    beta: float,
+    before_run: Optional[Callable[[], None]] = None,
 ) -> str:
     """Decide what to do with a lowest-bound or lowest-value winner.
 
@@ -49,12 +53,17 @@ def gate_local_search(
     ``EXCLUSION_RADIUS`` of its center, in which case the candidate and
     every ledger center inside that ball join ``excluded``; otherwise the
     candidate is only excluded and is neither sampled nor divided this
-    iteration.
+    iteration.  ``before_run`` is called once a search is decided, before
+    the ball is collected, so that rows it writes to the ledger are
+    collected too.
     """
     # the 1-d norm, which can differ from half_diagonals() in the last bit
     half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[candidate_id]]))
     if half_diag > beta:
         return SELECT_FOR_DIVISION
+    if candidate_id in excluded:
+        # a member's own center lies at distance 0 from the set
+        return SKIP_DIVISION_ONLY
     center = ledger.centers[candidate_id]
     if excluded:
         member_ids = np.fromiter(excluded, dtype=int)
@@ -62,6 +71,8 @@ def gate_local_search(
         if bool((dists <= EXCLUSION_RADIUS).any()):
             excluded.add(candidate_id)
             return SKIP_DIVISION_ONLY
+    if before_run is not None:
+        before_run()
     near = np.flatnonzero(np.linalg.norm(ledger.centers - center, axis=1) <= EXCLUSION_RADIUS)
     excluded.update(int(i) for i in near)
     excluded.add(candidate_id)

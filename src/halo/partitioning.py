@@ -1,14 +1,18 @@
-"""Sampling along longest sides, trisection and slope refresh of a partition.
+"""Sampling along longest sides, trisection and slope refresh of partitions.
 
 The scheme keeps the parent's center: new points are placed at distance
 ``delta = (2/3) * s_max`` on both sides of the center along every longest
 coordinate, then the box is cut into thirds along those coordinates, one
 coordinate at a time, so the best new value ends up in the largest child.
 The longest sides of a box are those at its lowest trisection level.
-Sampling returns its points as one block already in division order, and
-the division step hands that block to the ledger as it stands, refreshing
-the slope rows from the same samples: central differences for the parent,
-forward differences for the children.
+
+Every step works on a block of partitions at once.  ``plan_samples``
+places the points of the whole block, ``evaluate_samples`` evaluates them
+one at a time and sorts each division's points into division order, and
+``divide_partition`` hands the block to the ledger as it stands,
+refreshing the slope rows from the same samples: central differences for
+the parents, forward differences for the children.  One partition is a
+block of one.
 """
 
 from __future__ import annotations
@@ -25,25 +29,30 @@ OnEval = Callable[[np.ndarray, float], None]
 
 @dataclass
 class SamplePlan:
-    """Evaluated sample points for one partition about to be divided.
+    """Sample points for a block of partitions about to be divided.
 
-    ``coords`` is the longest-side set of the parent in division order:
-    ascending by the lower of the two new values, ties to the lower
-    coordinate.  Rows ``2j`` and ``2j + 1`` of the ``(2k, n)`` block
-    ``points`` are ``center +/- delta`` along ``coords[j]``, and ``values``
-    holds their objective values.
+    Division ``i`` divides partition ``parent_ids[i]`` with step
+    ``deltas[i]`` along ``counts[i]`` longest sides, its entries of
+    ``coords`` (each division's follow the previous one's).  Rows ``2j``
+    and ``2j + 1`` of the ``(2K, n)`` block ``points`` are
+    ``center +/- delta`` along ``coords[j]``, and ``values`` holds their
+    objective values once evaluated.  Each division's sides are ascending
+    as planned and in division order once evaluated: ascending by the lower
+    of the two new values, ties to the lower coordinate.
     """
 
-    parent_id: int
-    delta: float
+    parent_ids: list[int]
+    counts: list[int]
+    deltas: np.ndarray
     coords: list[int]
     points: np.ndarray
-    values: np.ndarray
+    values: Optional[np.ndarray] = None
 
-
-def longest_side_coords(levels: np.ndarray) -> list[int]:
-    """Ascending indices of the longest sides: those at the lowest level."""
-    return [int(i) for i in np.flatnonzero(levels == levels.min())]
+    @property
+    def delta(self) -> float:
+        """The step of a plan that holds a single division."""
+        (delta,) = self.deltas
+        return float(delta)
 
 
 def init_root(obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> PartitionLedger:
@@ -58,73 +67,136 @@ def init_root(obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> Partiti
     return ledger
 
 
+def plan_samples(ledger: PartitionLedger, pids, max_evals: Optional[int] = None) -> SamplePlan:
+    """Place the two new points per longest side of every partition in ``pids``.
+
+    ``pids`` is one id or a sequence of distinct ids.  With ``max_evals``,
+    the plan keeps the longest prefix of ``pids`` whose evaluations, ``2k``
+    per partition, add up to at most ``max_evals``: a division is planned
+    whole or not at all, since a partial one would break the tiling of the
+    cube.
+    """
+    ids = np.array(pids, dtype=np.intp, ndmin=1)
+    levels = ledger.levels[ids]
+    low = levels.min(axis=1)
+    longest = levels == low[:, None]
+    counts = longest.sum(axis=1)
+    deltas = 2.0 * HALF_SIDES[low] / 3.0
+    fit = ids.size
+    if max_evals is not None:
+        fit = int((2 * counts).cumsum().searchsorted(max_evals, side="right"))
+    if not deltas[:fit].all():
+        # dividing a box at MAX_LEVEL raises, so nothing after it is sampled
+        fit = int(np.argmin(deltas)) + 1
+    ids, longest, counts, deltas = ids[:fit], longest[:fit], counts[:fit], deltas[:fit]
+    owner, coords = np.nonzero(longest)
+    steps = deltas[owner]
+    # rows 2j and 2j + 1 are center +/- delta along coords[j]
+    points = ledger.centers[ids].repeat(2 * counts, axis=0)
+    plus = np.arange(0, 2 * coords.size, 2)
+    points[plus, coords] += steps
+    points[plus + 1, coords] -= steps
+    return SamplePlan(ids.tolist(), counts.tolist(), deltas, coords.tolist(), points)
+
+
+def evaluate_samples(plan: SamplePlan, obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> None:
+    """Evaluate the points of ``plan`` and put each division in division order.
+
+    The block is mapped to problem units with one call, then evaluated one
+    point at a time, in plan order, with ``on_eval`` after each, so an
+    exception from the objective or from ``on_eval`` stops the sampling at
+    that point.  The plan then keeps only the divisions whose points all
+    returned, and the exception propagates.
+    """
+    values: list[float] = []
+    try:
+        for q, x in zip(plan.points, obj.to_problem_units(plan.points)):
+            f = obj.evaluate(x)
+            if on_eval is not None:
+                on_eval(q, f)
+            values.append(f)
+    finally:
+        _sort_completed(plan, values)
+
+
+def _sort_completed(plan: SamplePlan, values: list[float]) -> None:
+    """Cut ``plan`` to the divisions with all their ``values`` and sort each one."""
+    coords: list[int] = []
+    rows: list[int] = []
+    start = 0
+    for kept, k in enumerate(plan.counts):
+        end = start + k
+        if 2 * end > len(values):
+            break
+        # the best new point is cut first, so it lands in the largest child;
+        # the key compares the Python floats the objective returned
+        order = sorted(range(start, end), key=lambda j: (min(values[2 * j], values[2 * j + 1]), plan.coords[j]))
+        coords += [plan.coords[j] for j in order]
+        rows += [r for j in order for r in (2 * j, 2 * j + 1)]
+        start = end
+    else:
+        kept = len(plan.counts)
+    plan.parent_ids = plan.parent_ids[:kept]
+    plan.counts = plan.counts[:kept]
+    plan.deltas = plan.deltas[:kept]
+    plan.coords = coords
+    plan.points = plan.points[rows]
+    plan.values = np.array([values[r] for r in rows])
+
+
 def sample_partition(
     ledger: PartitionLedger,
-    pid: int,
+    pids,
     obj: ObjectiveHandle,
     max_fun_evals: Optional[int] = None,
     on_eval: Optional[OnEval] = None,
 ) -> SamplePlan:
-    """Evaluate the two new points per longest coordinate of partition ``pid``.
+    """Plan and evaluate the new points of every partition in ``pids``.
 
-    Consumes exactly ``2 * len(coords)`` evaluations.  If that would push
-    ``obj.eval_count`` past ``max_fun_evals`` the plan is abandoned before
-    any evaluation and BudgetExhaustedError is raised: partial divisions
-    would break the tiling of the cube.  The points are built and mapped to
-    problem units as one block, then evaluated one at a time (plus before
-    minus, coordinates ascending) with ``on_eval`` after each, so an
-    exception from ``on_eval`` stops the sampling at that point.  The
-    returned plan holds the pairs in division order.
+    Consumes exactly ``2k`` evaluations per partition.  If that would push
+    ``obj.eval_count`` past ``max_fun_evals``, the block is abandoned
+    before any evaluation and BudgetExhaustedError is raised.  See
+    ``plan_samples`` and ``evaluate_samples``.
     """
-    center = ledger.centers[pid]
-    levels = ledger.levels[pid]
-    coords = longest_side_coords(levels)
-    delta = 2.0 * float(HALF_SIDES[levels.min()]) / 3.0
-    k = len(coords)
-    if max_fun_evals is not None and obj.eval_count + 2 * k > max_fun_evals:
+    remaining = None if max_fun_evals is None else max_fun_evals - obj.eval_count
+    plan = plan_samples(ledger, pids, remaining)
+    # a plan cut short at a box below float resolution ends with that box
+    if len(plan.parent_ids) < np.size(pids) and plan.deltas.all():
         raise BudgetExhaustedError(
-            f"sampling partition {pid} needs {2 * k} evaluations, "
-            f"only {max_fun_evals - obj.eval_count} remain"
+            f"sampling partitions {pids} needs more than the {remaining} evaluations that remain"
         )
-    # rows 2j and 2j + 1 are center +/- delta along coords[j]
-    points = np.repeat(center[None], 2 * k, axis=0)
-    plus = np.arange(0, 2 * k, 2)
-    points[plus, coords] += delta
-    points[plus + 1, coords] -= delta
-    values = []
-    for q, x in zip(points, obj.to_problem_units(points)):
-        f = obj.evaluate(x)
-        if on_eval is not None:
-            on_eval(q, f)
-        values.append(f)
-    # the best new point is cut first, so it lands in the largest child
-    order = sorted(range(k), key=lambda j: (min(values[2 * j], values[2 * j + 1]), coords[j]))
-    rows = [r for j in order for r in (2 * j, 2 * j + 1)]
-    return SamplePlan(pid, delta, [coords[j] for j in order], points[rows], np.array(values)[rows])
+    evaluate_samples(plan, obj, on_eval)
+    return plan
 
 
-def divide_partition(ledger: PartitionLedger, pid: int, plan: SamplePlan) -> list[int]:
-    """Trisect partition ``pid`` under ``plan`` and seed every new slope row.
+def divide_partition(ledger: PartitionLedger, pids, plan: SamplePlan) -> list[int]:
+    """Trisect every partition of ``pids`` under ``plan`` and seed every new slope row.
 
-    Coordinates are cut in ``plan.coords`` order; at each cut the two
-    sampled points become centers of the outer thirds, which take the box
-    extents as they stand at that step (see ``PartitionLedger.divide``).
-    On every divided coordinate p the parent's slope becomes the central
-    difference ``|f(x+) - f(x-)| / (2 delta)``.  Each child starts from the
-    parent's pre-division row with its own cut coordinate replaced by the
-    forward difference ``|f(child) - f(parent)| / delta``; its other
-    coordinates are inherited unchanged, even if stale.  Returns the new
-    ids in plan row order.
+    ``pids`` are the plan's parents, one id or a sequence.  Coordinates are
+    cut in ``plan.coords`` order; at each cut the two sampled points become
+    centers of the outer thirds, which take the box extents as they stand
+    at that step (see ``PartitionLedger.divide``).  On every divided
+    coordinate p the parent's slope becomes the central difference
+    ``|f(x+) - f(x-)| / (2 delta)``.  Each child starts from its parent's
+    pre-division row with its own cut coordinate replaced by the forward
+    difference ``|f(child) - f(parent)| / delta``; its other coordinates
+    are inherited unchanged, even if stale.  Returns the new ids in plan
+    row order.
     """
-    if plan.delta == 0.0:
+    ids = np.array(pids, dtype=np.intp, ndmin=1)
+    deltas = plan.deltas
+    if not deltas.all():
         # at MAX_LEVEL the box has no width left to form a difference over
+        pid = ids[np.argmin(deltas)]
         raise ZeroDivisionError(f"partition {pid} is below float resolution: delta is 0")
+    counts = np.array(plan.counts, dtype=np.intp)
+    coords = np.array(plan.coords, dtype=np.intp)
     values = plan.values
-    base = ledger.slopes[pid]
-    child_slopes = np.repeat(base[None], len(values), axis=0)
-    child_slopes[np.arange(len(values)), np.repeat(plan.coords, 2)] = (
-        np.abs(values - ledger.values[pid]) / plan.delta
+    owner = np.arange(ids.size).repeat(counts)
+    slopes = ledger.slopes[ids]
+    child_slopes = slopes.repeat(2 * counts, axis=0)
+    child_slopes[np.arange(values.size), coords.repeat(2)] = (
+        np.abs(values - ledger.values[ids][owner].repeat(2)) / deltas[owner].repeat(2)
     )
-    parent_slopes = base.copy()
-    parent_slopes[plan.coords] = np.abs(values[0::2] - values[1::2]) / (2.0 * plan.delta)
-    return ledger.divide(pid, plan.coords, plan.points, values, parent_slopes, child_slopes)
+    slopes[owner, coords] = np.abs(values[0::2] - values[1::2]) / (2.0 * deltas[owner])
+    return ledger.divide(ids, counts, coords, plan.points, values, slopes, child_slopes)

@@ -36,8 +36,11 @@ class SelectionOutcome:
     reasons: dict[int, SelectionReason]
 
 
-def select_halo(ledger: PartitionLedger, constants: np.ndarray) -> SelectionOutcome:
+def select_halo(ledger: PartitionLedger, constants) -> SelectionOutcome:
     """Select partitions per the three lower-bound criteria.
+
+    ``constants`` holds one Lipschitz constant per partition, or a single
+    one for all of them.
 
     Criterion 1: the lowest lower bound over all partitions.
     Criterion 2: the lowest objective value.
@@ -76,8 +79,7 @@ def select_halo(ledger: PartitionLedger, constants: np.ndarray) -> SelectionOutc
 
 def select_hlo(ledger: PartitionLedger, global_constant: float) -> SelectionOutcome:
     """Same criteria with every local constant replaced by the global one."""
-    constants = np.full(len(ledger), float(global_constant))
-    return select_halo(ledger, constants)
+    return select_halo(ledger, float(global_constant))
 
 
 def _size_classes(

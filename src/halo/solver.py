@@ -16,7 +16,6 @@ import numpy as np
 
 from .geometry import (
     HALF_SIDES,
-    BudgetExhaustedError,
     ObjectiveError,
     ObjectiveHandle,
     PartitionLedger,
@@ -29,7 +28,7 @@ from .local_search import (
     coordinate_descent_minimize,
     gate_local_search,
 )
-from .partitioning import divide_partition, init_root, sample_partition
+from .partitioning import divide_partition, evaluate_samples, init_root, plan_samples
 from .selection import select_halo, select_hlo, select_potentially_optimal
 
 VARIANTS = ("halo", "hlo", "direct")
@@ -117,10 +116,13 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
 
     Each iteration selects partitions from the current ledger snapshot and
     processes them in criterion order: gate a possible local refinement
-    (halo/hlo only), then sample, divide and refresh slopes.  The solved
-    check fires after every single evaluation, so the evaluation count at
-    which a problem is solved is exact; sampling pre-checks the budget so a
-    division either happens completely or not at all.
+    (halo/hlo only), then sample, divide and refresh slopes.  Divisions
+    are made in blocks: all of an iteration's, or, when a local search
+    starts, the ones chosen before it and then the rest.  The solved check
+    fires after every single evaluation, so the evaluation count at which
+    a problem is solved is exact; sampling pre-checks the budget so a
+    division either happens completely or not at all, and the first
+    division that does not fit ends the run.
     """
     stop = cfg.stop
     evals: list[EvalRecord] = []
@@ -154,6 +156,26 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
         )
 
     excluded: set[int] = set()  # partitions near which no local search may start
+    pending: list[int] = []  # partitions chosen for division, not yet sampled
+    budget_hit = False
+
+    def divide_pending() -> None:
+        """Sample and divide the pending block, or its longest prefix that fits the budget.
+
+        If the sampling stops early, the divisions completed before the
+        stopping one still reach the ledger.
+        """
+        nonlocal budget_hit
+        if not pending:
+            return
+        plan = plan_samples(ledger, pending, stop.max_fun_evals - obj.eval_count)
+        budget_hit = len(plan.parent_ids) < len(pending)
+        pending.clear()
+        try:
+            evaluate_samples(plan, obj, on_eval=record)
+        finally:
+            divide_partition(ledger, plan.parent_ids, plan)
+
     status = STATUS_ITER_LIMIT
     try:
         ledger = init_root(obj, on_eval=record)
@@ -172,49 +194,36 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                     outcome = select_hlo(ledger, g_const)
                 chosen, reasons = outcome.chosen, outcome.reasons
 
-            budget_hit = False
+            # Divisions wait in one block until the iteration ends or a local
+            # search starts: the search's exclusion ball must see their
+            # children, and its evaluations come after their samples.
             for pid in chosen:
-                if obj.eval_count >= stop.max_fun_evals:
-                    budget_hit = True
-                    break
                 reason = reasons.get(pid)
-                divide = True
-                if (
-                    cfg.variant != "direct"
-                    and cfg.local_search_enabled
-                    and reason is not None
-                    and reason.local_search_candidate
-                ):
-                    decision = gate_local_search(pid, ledger, excluded, cfg.beta)
-                    if decision != SELECT_FOR_DIVISION:
-                        if decision == RUN:
-                            n_local += 1
-                            half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[pid]]))
-                            remaining = stop.max_fun_evals - obj.eval_count
-                            mark = len(evals)
-                            try:
-                                coordinate_descent_minimize(
-                                    obj,
-                                    ledger.centers[pid].copy(),
-                                    budget=min(remaining, LOCAL_SEARCH_BUDGET_PER_DIM * ledger.dim),
-                                    initial_step=max(1e-3, half_diag),
-                                    f0=float(ledger.values[pid]),
-                                    on_eval=record,
-                                )
-                            finally:
-                                n_local_evals += len(evals) - mark
-                        # the largest-box mandate still forces a division
-                        divide = reason.largest_best_bound
-                if not divide:
-                    continue
-                try:
-                    plan = sample_partition(
-                        ledger, pid, obj, max_fun_evals=stop.max_fun_evals, on_eval=record
-                    )
-                except BudgetExhaustedError:
-                    budget_hit = True
-                    break
-                divide_partition(ledger, pid, plan)
+                if cfg.local_search_enabled and reason is not None and reason.local_search_candidate:
+                    decision = gate_local_search(pid, ledger, excluded, cfg.beta, before_run=divide_pending)
+                    if decision == RUN:
+                        if budget_hit or obj.eval_count >= stop.max_fun_evals:
+                            break
+                        n_local += 1
+                        half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[pid]]))
+                        remaining = stop.max_fun_evals - obj.eval_count
+                        mark = len(evals)
+                        try:
+                            coordinate_descent_minimize(
+                                obj,
+                                ledger.centers[pid].copy(),
+                                budget=min(remaining, LOCAL_SEARCH_BUDGET_PER_DIM * ledger.dim),
+                                initial_step=max(1e-3, half_diag),
+                                f0=float(ledger.values[pid]),
+                                on_eval=record,
+                            )
+                        finally:
+                            n_local_evals += len(evals) - mark
+                    # the largest-box mandate still forces a division
+                    if decision != SELECT_FOR_DIVISION and not reason.largest_best_bound:
+                        continue
+                pending.append(pid)
+            divide_pending()
 
             iterations.append(IterationRecord(k, tuple(chosen), len(ledger), g_const, max_diag))
             if budget_hit or obj.eval_count >= stop.max_fun_evals:

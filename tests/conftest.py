@@ -40,6 +40,14 @@ def random_ledger(rng, n, count):
     return ledger
 
 
+def ledger_bytes(ledger):
+    """The bytes of every ledger column, cached ones included."""
+    return [column.tobytes() for column in (
+        ledger.centers, ledger.levels, ledger.values, ledger.slopes,
+        ledger.depths, ledger.half_diagonals(), ledger.slope_norms(),
+    )]
+
+
 def class_diagonals(ledger):
     """Half diagonal per row, the same for every row of one depth.
 

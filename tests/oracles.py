@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from halo.geometry import HALF_SIDES, MAX_LEVEL
+
 
 def central_difference(fn, x, coord: int, h: float) -> float:
     """Plain central difference quotient of ``fn`` along one coordinate."""
@@ -93,3 +95,66 @@ def blend_local_constant(half_sides, slopes, global_constant: float) -> float:
     slope_norm = math.sqrt(math.fsum(float(s) ** 2 for s in slopes))
     alpha = min(2.0 * half_diagonal / math.sqrt(len(half_sides)), 1.0)
     return alpha * global_constant + (1.0 - alpha) * slope_norm
+
+
+class ReferenceLedger:
+    """Plain row lists copied from a ledger, divided one partition at a time."""
+
+    def __init__(self, ledger):
+        self.centers = [np.array(row) for row in ledger.centers]
+        self.levels = [[int(v) for v in row] for row in ledger.levels]
+        self.values = [float(v) for v in ledger.values]
+        self.slopes = [[float(v) for v in row] for row in ledger.slopes]
+
+    def columns(self):
+        """Every column as the ledger holds it, the cached ones recomputed whole."""
+        levels = np.array(self.levels, dtype=np.int16)
+        slopes = np.array(self.slopes)
+        return [np.array(self.centers), levels, np.array(self.values), slopes,
+                levels.sum(axis=1), np.linalg.norm(HALF_SIDES[levels], axis=1),
+                np.linalg.norm(slopes, axis=1)]
+
+
+def divide_one_at_a_time(ref: ReferenceLedger, pid: int, obj, on_eval=None) -> None:
+    """Sample and divide one partition, one point and one cut at a time.
+
+    The points are ``center +/- delta`` along each longest side, ascending,
+    plus before minus, each evaluated on its own with ``on_eval`` after it.
+    The pairs are then cut in ascending order of their lower value, ties to
+    the lower side.  Each cut raises the parent's level on that side and
+    appends its two children with the levels the parent then has, a copy of
+    the parent's old slope row with the cut side replaced by the forward
+    difference; the parent's cut sides get the central difference.
+    """
+    levels = ref.levels[pid]
+    low = min(levels)
+    coords = [j for j, level in enumerate(levels) if level == low]
+    delta = 2.0 * float(HALF_SIDES[low]) / 3.0
+    points, values = [], []
+    for c in coords:
+        for sign in (1.0, -1.0):
+            q = np.array(ref.centers[pid])
+            q[c] = q[c] + sign * delta
+            f = obj.eval_normalized(q)
+            if on_eval is not None:
+                on_eval(q, f)
+            points.append(q)
+            values.append(f)
+    order = sorted(range(len(coords)), key=lambda j: (min(values[2 * j], values[2 * j + 1]), coords[j]))
+    parent_value = ref.values[pid]
+    old_slopes = ref.slopes[pid]
+    new_levels = list(levels)
+    new_slopes = list(old_slopes)
+    for j in order:
+        c = coords[j]
+        new_levels[c] = min(new_levels[c] + 1, MAX_LEVEL)
+        new_slopes[c] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * delta)
+        for r in (2 * j, 2 * j + 1):
+            child_slopes = list(old_slopes)
+            child_slopes[c] = abs(values[r] - parent_value) / delta
+            ref.centers.append(points[r])
+            ref.levels.append(list(new_levels))
+            ref.values.append(values[r])
+            ref.slopes.append(child_slopes)
+    ref.levels[pid] = new_levels
+    ref.slopes[pid] = new_slopes

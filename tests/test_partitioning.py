@@ -5,7 +5,7 @@ from halo.geometry import HALF_SIDES, BudgetExhaustedError, PartitionLedger, Sto
 from halo.partitioning import (
     divide_partition,
     init_root,
-    longest_side_coords,
+    plan_samples,
     sample_partition,
 )
 from halo.solver import SolverConfig, run
@@ -54,20 +54,20 @@ def test_init_root_n10():
 def test_longest_sides_tie():
     h = unit_handle(lambda x: 0.0, 2)
     ledger = init_root(h)
-    assert longest_side_coords(ledger.levels[0]) == [0, 1]
+    assert plan_samples(ledger, 0).coords == [0, 1]
 
 
 def test_longest_sides_single():
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [0, 1], 0.0)
     assert ledger.half_sides[0, 1] == 1.0 / 6.0
-    assert longest_side_coords(ledger.levels[0]) == [0]
+    assert plan_samples(ledger, 0).coords == [0]
 
 
 def test_longest_sides_last_coord():
     ledger = PartitionLedger(3)
     ledger.append([0.5, 0.5, 0.5], [1, 1, 0], 0.0)
-    assert longest_side_coords(ledger.levels[0]) == [2]
+    assert plan_samples(ledger, 0).coords == [2]
 
 
 def test_sample_root_unit_square():

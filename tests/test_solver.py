@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,7 @@ from halo.solver import (
     run,
 )
 
-from conftest import unit_handle
+from conftest import ledger_bytes, unit_handle
 
 
 def rastrigin_like(x):
@@ -178,3 +183,85 @@ def test_direct_variant_divides_all_potentially_optimal():
 def test_variant_validation():
     with pytest.raises(ValueError):
         SolverConfig(variant="annealing")
+
+
+# Under direct, iteration 2 of rastrigin_like in 2-D divides the block
+# (0, 1, 2, 4, 6) with 4, 2, 4, 4 and 4 evaluations: ids 0 and 1 take
+# evaluations 8-13, id 2 takes 14-17.
+
+
+def direct_run(handle, budget):
+    return run(handle, SolverConfig(variant="direct", stop=StopRule(max_fun_evals=budget)))
+
+
+def rastrigin_like_until(call, action):
+    """``rastrigin_like`` that hands its ``call``-th evaluation to ``action``."""
+    calls = {"n": 0}
+
+    def fn(x):
+        calls["n"] += 1
+        return action() if calls["n"] == call else rastrigin_like(x)
+
+    return fn
+
+
+def test_block_budget_divides_the_prefix_that_fits():
+    reference = direct_run(unit_handle(rastrigin_like, 2), 13)
+    assert reference.iterations[-1].selected == (0, 1, 2, 4, 6)
+    # 3 evaluations are left for id 2, which needs 4: it gets none
+    h = unit_handle(rastrigin_like, 2)
+    trace = direct_run(h, 16)
+    assert trace.status == STATUS_BUDGET
+    assert trace.n_evals == h.eval_count == 13
+    assert len(trace.ledger) == 13
+    assert ledger_bytes(trace.ledger) == ledger_bytes(reference.ledger)
+
+
+def test_solve_mid_block_writes_the_divisions_completed_before_it():
+    h = unit_handle(rastrigin_like_until(15, lambda: -1.0), 2, known_optimum=-1.0)
+    trace = direct_run(h, 100)
+    assert trace.status == STATUS_SOLVED and trace.n_evals == 15
+    # ids 0 and 1 are divided, id 2, stopped after two of its points, is not
+    reference = direct_run(unit_handle(rastrigin_like, 2), 13)
+    assert ledger_bytes(trace.ledger) == ledger_bytes(reference.ledger)
+
+
+def test_objective_error_mid_block_keeps_the_completed_divisions():
+    def fail():
+        raise RuntimeError("sensor died")
+
+    h = unit_handle(rastrigin_like_until(15, fail), 2)
+    with pytest.raises(ObjectiveError) as info:
+        direct_run(h, 100)
+    partial = info.value.partial_trace
+    assert partial.n_evals == 14
+    reference = direct_run(unit_handle(rastrigin_like, 2), 13)
+    assert ledger_bytes(partial.ledger) == ledger_bytes(reference.ledger)
+
+
+def test_run_imports_no_module_beyond_import_halo():
+    # a lazily imported module, such as numpy.ma behind np.unique, stays
+    # resident after the first solve that needs it
+    code = """
+import sys
+import numpy as np
+import halo
+before = set(sys.modules)
+runs = []
+for variant in halo.solver.VARIANTS:
+    h = halo.ObjectiveHandle(lambda x: float(((x - 0.3) ** 2).sum() - np.cos(9 * x).sum()),
+                             halo.BoxDomain(np.zeros(2), np.ones(2)))
+    cfg = halo.SolverConfig(variant=variant, beta=1e-2, stop=halo.StopRule(max_fun_evals=2000))
+    trace = halo.run(h, cfg)
+    runs.append((trace.status, trace.n_local_searches > 0))
+print(runs)
+print(sorted(set(sys.modules) - before))
+"""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    runs, new_modules = out.stdout.splitlines()
+    # the halo and hlo runs start local searches
+    assert runs == "[('budget_exhausted', True), ('budget_exhausted', True), ('budget_exhausted', False)]"
+    assert new_modules == "[]"
