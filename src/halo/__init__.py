@@ -9,7 +9,6 @@ partitions with a derivative-free coordinate search.
 
 from .geometry import (
     BoxDomain,
-    BudgetExhaustedError,
     DomainViolationError,
     ObjectiveError,
     ObjectiveHandle,
@@ -40,14 +39,12 @@ from .schoen import schoen_generate
 from .selection import (
     SelectionOutcome,
     select_halo,
-    select_hlo,
     select_potentially_optimal,
 )
 from .solver import RunTrace, SolverConfig, run
 
 __all__ = [
     "BoxDomain",
-    "BudgetExhaustedError",
     "DomainViolationError",
     "ObjectiveError",
     "ObjectiveHandle",
@@ -63,7 +60,6 @@ __all__ = [
     "blend_constants",
     "SelectionOutcome",
     "select_halo",
-    "select_hlo",
     "select_potentially_optimal",
     "LocalResult",
     "gate_local_search",

@@ -17,6 +17,7 @@ from .manifest import (
 )
 from .metrics import (
     REPORT_COLUMNS,
+    RunRecord,
     record_from_trace,
     report_table,
     reporting_grid,
@@ -24,6 +25,7 @@ from .metrics import (
     step_curve,
 )
 from .problems import CLASSICAL_FUNCTIONS, classical_problem
+from .schoen import schoen_generate
 from .serialize import fmt_float, read_json, write_csv, write_json, write_jsonl
 from .solver import SolverConfig, run
 
@@ -39,8 +41,6 @@ def _solver_config(variant, budget, beta, tol, local_search) -> SolverConfig:
 
 def _resolve_problem(ref: str, n: int, seed: int):
     """A problem name ('branin', 'schoen') or a manifest ref 'path#index'."""
-    from .schoen import schoen_generate
-
     path, _, index = ref.partition("#")
     if os.path.exists(path):
         records = load_manifest(path)
@@ -68,10 +68,10 @@ def main():
 @click.option("--problem", required=True, help="Function name, 'schoen', or manifest ref path#index.")
 @click.option("--variant", type=click.Choice(["halo", "hlo", "direct"]), default="halo", show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=30000, show_default=True, help="Maximum function evaluations.")
-@click.option("--beta", type=float, default=1e-4, show_default=True, help="Half-diagonal gate for local search.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Seed for generated problems.")
+@click.option("--beta", type=click.FloatRange(min=0), default=1e-4, show_default=True, help="Half-diagonal gate for local search.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for generated problems.")
 @click.option("--n", type=click.IntRange(min=1), default=2, show_default=True, help="Dimension for generic problems.")
-@click.option("--tol", type=float, default=1e-4, show_default=True, help="Relative error tolerance.")
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-4, show_default=True, help="Relative error tolerance.")
 @click.option("--local-search/--no-local-search", default=True, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the evaluation trace (JSONL).")
 def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
@@ -101,8 +101,8 @@ def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--variant", type=click.Choice(["halo", "hlo", "direct"]), default="halo", show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=30000, show_default=True)
-@click.option("--beta", type=float, default=1e-4, show_default=True)
-@click.option("--tol", type=float, default=1e-4, show_default=True)
+@click.option("--beta", type=click.FloatRange(min=0), default=1e-4, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-4, show_default=True)
 @click.option("--local-search/--no-local-search", default=True, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Report document path (.json).")
@@ -124,8 +124,6 @@ def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
 
 
 def _load_reports(paths):
-    from .metrics import RunRecord
-
     reports = []
     for path in paths:
         doc = read_json(path)
@@ -176,7 +174,7 @@ def report(inputs, show_auoc, oc_csv, importance_csv):
 @click.option("--family", type=click.Choice(["schoen", "classical"]), default="schoen", show_default=True)
 @click.option("--n", type=click.IntRange(min=1), required=True, help="Problem dimension.")
 @click.option("--count", type=click.IntRange(min=1), default=None, help="Number of problems (schoen: required).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def gen(family, n, count, seed, out):
     """Generate a problem manifest."""

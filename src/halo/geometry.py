@@ -32,13 +32,12 @@ HALF_SIDES = _half_side_table()
 HALF_SIDES.setflags(write=False)
 MAX_LEVEL = HALF_SIDES.size - 1
 
+# Rows a new ledger holds before its columns first grow (then double).
+_INITIAL_CAPACITY = 64
+
 
 class DomainViolationError(ValueError):
     """A point lies outside the box it is being mapped against."""
-
-
-class BudgetExhaustedError(RuntimeError):
-    """An operation would exceed the allowed number of function evaluations."""
 
 
 class ObjectiveError(RuntimeError):
@@ -131,17 +130,17 @@ class PartitionLedger:
     cube.  Ids are dense ``0..count-1`` and never reused.
     """
 
-    def __init__(self, dim: int, capacity: int = 64):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
         self._dim = dim
-        self._centers = np.zeros((capacity, dim))
-        self._levels = np.zeros((capacity, dim), dtype=np.int16)
-        self._values = np.zeros(capacity)
-        self._slopes = np.zeros((capacity, dim))
-        self._half_diagonals = np.zeros(capacity)
-        self._depths = np.zeros(capacity, dtype=np.int64)
-        self._slope_norms = np.zeros(capacity)
+        self._centers = np.zeros((_INITIAL_CAPACITY, dim))
+        self._levels = np.zeros((_INITIAL_CAPACITY, dim), dtype=np.int16)
+        self._values = np.zeros(_INITIAL_CAPACITY)
+        self._slopes = np.zeros((_INITIAL_CAPACITY, dim))
+        self._half_diagonals = np.zeros(_INITIAL_CAPACITY)
+        self._depths = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
+        self._slope_norms = np.zeros(_INITIAL_CAPACITY)
         self._count = 0
 
     def __len__(self) -> int:
@@ -185,7 +184,7 @@ class PartitionLedger:
         return self._view(self._slopes)
 
     def _grow(self):
-        cap = max(2 * self._centers.shape[0], 64)
+        cap = 2 * self._centers.shape[0]
         for name in ("_centers", "_levels", "_values", "_slopes",
                      "_half_diagonals", "_depths", "_slope_norms"):
             old = getattr(self, name)
@@ -282,10 +281,6 @@ class PartitionLedger:
         """View of every slope row's Euclidean norm."""
         return self._view(self._slope_norms)
 
-    def total_volume(self) -> float:
-        """Sum of box volumes; equals 1 whenever the rows tile the cube."""
-        return float(np.prod(2.0 * self.half_sides, axis=1).sum())
-
 
 @dataclass
 class ObjectiveHandle:
@@ -301,7 +296,6 @@ class ObjectiveHandle:
     domain: BoxDomain
     eval_count: int = 0
     known_optimum: Optional[float] = None
-    known_minimizer: Optional[np.ndarray] = None
 
     def evaluate(self, point) -> float:
         """Evaluate at a problem-units point."""

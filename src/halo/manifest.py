@@ -7,6 +7,7 @@ a stale or edited manifest fails loudly instead of skewing results.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -18,14 +19,13 @@ from .problems import (
     classical_suite,
     shift_minimizer,
 )
+from .schoen import schoen_generate
 from .serialize import read_jsonl, write_jsonl
-
-_RECORD_KEYS = ("name", "family", "function", "n", "seed", "stationary_points", "shift_seed", "known_optimum")
 
 
 def problem_record(problem: TestProblem) -> dict:
     """Flat manifest record for one problem, keys in fixed order."""
-    record = {
+    return {
         "name": problem.name,
         "family": problem.family,
         "function": problem.function,
@@ -35,13 +35,10 @@ def problem_record(problem: TestProblem) -> dict:
         "shift_seed": problem.shift_seed,
         "known_optimum": problem.known_optimum,
     }
-    return {k: record[k] for k in _RECORD_KEYS}
 
 
 def problem_from_record(record: dict) -> TestProblem:
     """Rebuild the problem a record describes, verifying its integrity."""
-    from .schoen import schoen_generate
-
     family = record.get("family")
     if family == "schoen":
         problem = schoen_generate(int(record["seed"]), int(record["n"]))
@@ -68,8 +65,6 @@ def problem_from_record(record: dict) -> TestProblem:
         )
     name = record.get("name")
     if name and name != problem.name:
-        from dataclasses import replace
-
         problem = replace(problem, name=name)
     return problem
 
@@ -80,8 +75,6 @@ def schoen_manifest(n: int, count: int, base_seed: int) -> list[dict]:
     Problem i uses seed ``base_seed + i``: the stream split is the seed
     itself, so manifests are portable and individually replayable.
     """
-    from .schoen import schoen_generate
-
     return [problem_record(schoen_generate(base_seed + i, n)) for i in range(count)]
 
 

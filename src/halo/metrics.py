@@ -174,7 +174,7 @@ def run_benchmark(
     return build_report(rows, cfg)
 
 
-def build_report(rows: list[RunRecord], cfg: SolverConfig, metadata: Optional[dict] = None) -> BenchmarkReport:
+def build_report(rows: list[RunRecord], cfg: SolverConfig) -> BenchmarkReport:
     solved = [r for r in rows if r.solved]
     percent = 100.0 * len(solved) / len(rows)
     avg = math.fsum(r.fevals for r in solved) / len(solved) if solved else None
@@ -189,8 +189,6 @@ def build_report(rows: list[RunRecord], cfg: SolverConfig, metadata: Optional[di
         "direct_epsilon_rel": DIRECT_EPSILON_REL,
         "average_evals_note": "average over solved runs only; failed runs excluded",
     }
-    if metadata:
-        meta.update(metadata)
     return BenchmarkReport(
         rows=rows,
         percent_solved=percent,

@@ -7,9 +7,10 @@ coordinate at a time, so the best new value ends up in the largest child.
 The longest sides of a box are those at its lowest trisection level.
 
 Every step works on a block of partitions at once.  ``plan_samples``
-places the points of the whole block, ``evaluate_samples`` evaluates them
-one at a time and sorts each division's points into division order, and
-``divide_partition`` hands the block to the ledger as it stands,
+places the points of the whole block, keeping the longest prefix that fits
+an evaluation budget; ``evaluate_samples`` evaluates them one at a time
+and sorts each division's points into division order; ``divide_partition``
+hands the plan, which names its own parents, to the ledger as it stands,
 refreshing the slope rows from the same samples: central differences for
 the parents, forward differences for the children.  One partition is a
 block of one.
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import HALF_SIDES, BudgetExhaustedError, ObjectiveHandle, PartitionLedger
+from .geometry import HALF_SIDES, ObjectiveHandle, PartitionLedger
 
 OnEval = Callable[[np.ndarray, float], None]
 
@@ -47,12 +48,6 @@ class SamplePlan:
     coords: list[int]
     points: np.ndarray
     values: Optional[np.ndarray] = None
-
-    @property
-    def delta(self) -> float:
-        """The step of a plan that holds a single division."""
-        (delta,) = self.deltas
-        return float(delta)
 
 
 def init_root(obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> PartitionLedger:
@@ -144,36 +139,22 @@ def _sort_completed(plan: SamplePlan, values: list[float]) -> None:
     plan.values = np.array([values[r] for r in rows])
 
 
-def sample_partition(
-    ledger: PartitionLedger,
-    pids,
-    obj: ObjectiveHandle,
-    max_fun_evals: Optional[int] = None,
-    on_eval: Optional[OnEval] = None,
-) -> SamplePlan:
+def sample_partition(ledger: PartitionLedger, pids, obj: ObjectiveHandle) -> SamplePlan:
     """Plan and evaluate the new points of every partition in ``pids``.
 
-    Consumes exactly ``2k`` evaluations per partition.  If that would push
-    ``obj.eval_count`` past ``max_fun_evals``, the block is abandoned
-    before any evaluation and BudgetExhaustedError is raised.  See
-    ``plan_samples`` and ``evaluate_samples``.
+    Consumes exactly ``2k`` evaluations per partition; see ``plan_samples``
+    and ``evaluate_samples``.
     """
-    remaining = None if max_fun_evals is None else max_fun_evals - obj.eval_count
-    plan = plan_samples(ledger, pids, remaining)
-    # a plan cut short at a box below float resolution ends with that box
-    if len(plan.parent_ids) < np.size(pids) and plan.deltas.all():
-        raise BudgetExhaustedError(
-            f"sampling partitions {pids} needs more than the {remaining} evaluations that remain"
-        )
-    evaluate_samples(plan, obj, on_eval)
+    plan = plan_samples(ledger, pids)
+    evaluate_samples(plan, obj)
     return plan
 
 
-def divide_partition(ledger: PartitionLedger, pids, plan: SamplePlan) -> list[int]:
-    """Trisect every partition of ``pids`` under ``plan`` and seed every new slope row.
+def divide_partition(ledger: PartitionLedger, plan: SamplePlan) -> list[int]:
+    """Trisect every parent of an evaluated ``plan`` and seed every new slope row.
 
-    ``pids`` are the plan's parents, one id or a sequence.  Coordinates are
-    cut in ``plan.coords`` order; at each cut the two sampled points become
+    The partitions divided are ``plan.parent_ids``.  Coordinates are cut
+    in ``plan.coords`` order; at each cut the two sampled points become
     centers of the outer thirds, which take the box extents as they stand
     at that step (see ``PartitionLedger.divide``).  On every divided
     coordinate p the parent's slope becomes the central difference
@@ -183,7 +164,7 @@ def divide_partition(ledger: PartitionLedger, pids, plan: SamplePlan) -> list[in
     are inherited unchanged, even if stale.  Returns the new ids in plan
     row order.
     """
-    ids = np.array(pids, dtype=np.intp, ndmin=1)
+    ids = np.array(plan.parent_ids, dtype=np.intp, ndmin=1)
     deltas = plan.deltas
     if not deltas.all():
         # at MAX_LEVEL the box has no width left to form a difference over

@@ -15,7 +15,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import BoxDomain, ObjectiveHandle
+from .geometry import BoxDomain, ObjectiveHandle, normalize_point
+from .local_search import coordinate_descent_minimize
 
 BENCHMARK_DIMS = (2, 3, 4, 6, 8, 10)
 
@@ -43,13 +44,7 @@ class TestProblem:
 
     def make_handle(self) -> ObjectiveHandle:
         """Fresh evaluation handle; each solver run owns its own counter."""
-        fn = self.fn
-        return ObjectiveHandle(
-            evaluator=lambda x: float(fn(x)),
-            domain=self.domain,
-            known_optimum=self.known_optimum,
-            known_minimizer=self.known_minimizer.copy(),
-        )
+        return ObjectiveHandle(evaluator=self.fn, domain=self.domain, known_optimum=self.known_optimum)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +414,6 @@ def audit_optimum(
     optimum.  A mismatch above ``tol`` means a stored constant is wrong and
     raises ValueError; stored constants are never trusted unaudited.
     """
-    from .geometry import normalize_point
-    from .local_search import coordinate_descent_minimize
-
     d = problem.domain
     rng = np.random.default_rng(seed)
     points = rng.uniform(d.lower, d.upper, size=(probes, problem.n))

@@ -77,11 +77,6 @@ def select_halo(ledger: PartitionLedger, constants) -> SelectionOutcome:
     return SelectionOutcome(chosen, reasons)
 
 
-def select_hlo(ledger: PartitionLedger, global_constant: float) -> SelectionOutcome:
-    """Same criteria with every local constant replaced by the global one."""
-    return select_halo(ledger, float(global_constant))
-
-
 def _size_classes(
     depths: np.ndarray, diags: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from .local_search import (
     gate_local_search,
 )
 from .partitioning import divide_partition, evaluate_samples, init_root, plan_samples
-from .selection import select_halo, select_hlo, select_potentially_optimal
+from .selection import select_halo, select_potentially_optimal
 
 VARIANTS = ("halo", "hlo", "direct")
 
@@ -76,7 +76,6 @@ class IterationRecord:
     selected: tuple[int, ...]
     partition_count: int
     global_constant: float
-    max_half_diagonal: float
 
 
 @dataclass
@@ -135,11 +134,13 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
 
     def record(point: np.ndarray, value: float) -> None:
         nonlocal best, best_point
-        if value < best:
+        improved = value < best
+        if improved:
             best = value
             best_point = point.copy()
         evals.append(EvalRecord(obj.eval_count, point.copy(), value, best))
-        if _is_solved(best, obj.known_optimum, stop.rel_error_tol):
+        # solved status depends on ``best`` alone, so only a new incumbent can reach it
+        if improved and _is_solved(best, obj.known_optimum, stop.rel_error_tol):
             raise _SolvedSignal
 
     def make_trace(status: str) -> RunTrace:
@@ -174,7 +175,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
         try:
             evaluate_samples(plan, obj, on_eval=record)
         finally:
-            divide_partition(ledger, plan.parent_ids, plan)
+            divide_partition(ledger, plan)
 
     status = STATUS_ITER_LIMIT
     try:
@@ -183,15 +184,13 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
             return make_trace(STATUS_BUDGET)
         for k in range(stop.max_iter):
             g_const = global_slope_max(ledger)
-            max_diag = float(ledger.half_diagonals().max())
             if cfg.variant == "direct":
                 chosen = select_potentially_optimal(ledger, DIRECT_EPSILON_REL)
                 reasons = {}
             else:
-                if cfg.variant == "halo":
-                    outcome = select_halo(ledger, blend_constants(ledger, g_const))
-                else:
-                    outcome = select_hlo(ledger, g_const)
+                # hlo replaces every local constant by the global one
+                constants = blend_constants(ledger, g_const) if cfg.variant == "halo" else g_const
+                outcome = select_halo(ledger, constants)
                 chosen, reasons = outcome.chosen, outcome.reasons
 
             # Divisions wait in one block until the iteration ends or a local
@@ -225,7 +224,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                 pending.append(pid)
             divide_pending()
 
-            iterations.append(IterationRecord(k, tuple(chosen), len(ledger), g_const, max_diag))
+            iterations.append(IterationRecord(k, tuple(chosen), len(ledger), g_const))
             if budget_hit or obj.eval_count >= stop.max_fun_evals:
                 status = STATUS_BUDGET
                 break

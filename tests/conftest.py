@@ -5,12 +5,11 @@ import pytest
 
 from halo.geometry import BoxDomain, ObjectiveHandle, PartitionLedger
 
-def make_handle(fn, lower, upper, known_optimum=None, known_minimizer=None):
+def make_handle(fn, lower, upper, known_optimum=None):
     return ObjectiveHandle(
         evaluator=fn,
         domain=BoxDomain(np.asarray(lower, float), np.asarray(upper, float)),
         known_optimum=known_optimum,
-        known_minimizer=None if known_minimizer is None else np.asarray(known_minimizer, float),
     )
 
 
@@ -38,6 +37,17 @@ def random_ledger(rng, n, count):
             rng.uniform(0.0, 3.0, n),
         )
     return ledger
+
+
+def tiles_cube(ledger) -> bool:
+    """Whether the box volumes add up to exactly 1, in integers.
+
+    A box of depth d has volume 3**-d, so the sum is taken in units of the
+    deepest box's volume.
+    """
+    depths = [int(d) for d in ledger.depths]
+    deepest = max(depths)
+    return sum(3 ** (deepest - d) for d in depths) == 3**deepest
 
 
 def ledger_bytes(ledger):

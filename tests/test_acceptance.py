@@ -94,7 +94,7 @@ def test_criterion_2_affine_slope_exactness():
         for _ in range(15):
             pid = int(np.argmax(ledger.half_diagonals()))
             plan = sample_partition(ledger, pid, h)
-            divide_partition(ledger, pid, plan)
+            divide_partition(ledger, plan)
             for coord in plan.coords:
                 assert abs(ledger.slopes[pid][coord] - abs(a[coord])) <= 1e-12
             if set(plan.coords) == {0, 1, 2}:

@@ -12,7 +12,7 @@ from halo.geometry import StopRule
 from halo.partitioning import divide_partition, evaluate_samples, plan_samples
 from halo.solver import VARIANTS, SolverConfig, run
 
-from conftest import ledger_bytes, unit_handle
+from conftest import ledger_bytes, tiles_cube, unit_handle
 from oracles import ReferenceLedger, divide_one_at_a_time
 
 
@@ -59,9 +59,8 @@ def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_sea
     assert (levels.max(axis=1) - levels.min(axis=1) <= 1).all()
     assert depths.tolist() == levels.sum(axis=1).tolist()
 
-    # the rows tile the cube exactly: a box of depth d has volume 3**-d
-    deepest = int(depths.max())
-    assert sum(3 ** (deepest - int(d)) for d in depths) == 3**deepest
+    # the rows tile the cube exactly
+    assert tiles_cube(ledger)
 
     # the cached half diagonals are the bits of a whole-matrix norm
     diags = ledger.half_diagonals()
@@ -128,7 +127,7 @@ def test_block_division_matches_one_at_a_time(seed, n, budget, variant, picks, a
         try:
             evaluate_samples(plan, handle, on_eval)
         finally:
-            divide_partition(ledger, plan.parent_ids, plan)
+            divide_partition(ledger, plan)
 
     ref_evaluated = []
     ref_seen, ref_on_eval = recorder(stop_at)

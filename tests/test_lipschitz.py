@@ -13,7 +13,7 @@ from oracles import blend_local_constant, central_difference
 
 def divide_once(h, ledger, pid):
     plan = sample_partition(ledger, pid, h)
-    return plan, divide_partition(ledger, pid, plan)
+    return plan, divide_partition(ledger, plan)
 
 
 def test_linear_slope_exact_1d():
@@ -81,11 +81,11 @@ def test_division_slopes_match_scalar_loop():
         values = [float(v) for v in plan.values]
         expected = before.copy()
         for j, coord in enumerate(plan.coords):
-            expected[coord] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * plan.delta)
+            expected[coord] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * plan.deltas[0])
         assert ledger.slopes[pid].tobytes() == expected.tobytes()
         for row, cid in enumerate(children):
             expected = before.copy()
-            expected[plan.coords[row // 2]] = abs(values[row] - parent_value) / plan.delta
+            expected[plan.coords[row // 2]] = abs(values[row] - parent_value) / plan.deltas[0]
             assert ledger.slopes[cid].tobytes() == expected.tobytes()
 
 

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from halo.geometry import HALF_SIDES, BudgetExhaustedError, PartitionLedger, StopRule
+from halo.geometry import HALF_SIDES, PartitionLedger, StopRule
 from halo.partitioning import (
     divide_partition,
+    evaluate_samples,
     init_root,
     plan_samples,
     sample_partition,
 )
 from halo.solver import SolverConfig, run
 
-from conftest import unit_handle
+from conftest import tiles_cube, unit_handle
 
 
 def lookup_objective(plus, minus):
@@ -74,7 +75,7 @@ def test_sample_root_unit_square():
     h = unit_handle(lambda x: float(np.sum(x**2)), 2)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    assert plan.delta == pytest.approx(1.0 / 3.0)
+    assert plan.deltas[0] == pytest.approx(1.0 / 3.0)
     assert plan.coords == [0, 1]
     assert h.eval_count == 5  # root + 4 samples
     expected = {(0.5 + 1 / 3, 0.5), (0.5 - 1 / 3, 0.5), (0.5, 0.5 + 1 / 3), (0.5, 0.5 - 1 / 3)}
@@ -96,7 +97,7 @@ def test_sample_rectangle_only_longest():
     ledger.append([0.5, 0.5], [1, 0], h.eval_normalized([0.5, 0.5]))
     plan = sample_partition(ledger, 0, h)
     assert plan.coords == [1]
-    assert plan.delta == pytest.approx(1.0 / 3.0)
+    assert plan.deltas[0] == pytest.approx(1.0 / 3.0)
     assert plan.points[0::2][0][0] == 0.5  # untouched coordinate
     assert plan.points[0::2][0][1] == pytest.approx(0.5 + 1.0 / 3.0)
 
@@ -127,7 +128,7 @@ def test_sampling_evaluates_and_records_one_point_at_a_time():
             raise Stop
 
     with pytest.raises(Stop):
-        sample_partition(ledger, 0, h, on_eval=on_eval)
+        evaluate_samples(plan_samples(ledger, 0), h, on_eval)
     assert len(evaluated) == 4 and h.eval_count == 4  # root + 3 samples
     delta = 2.0 * float(HALF_SIDES[0]) / 3.0
     expected = []
@@ -142,9 +143,11 @@ def test_sampling_evaluates_and_records_one_point_at_a_time():
 def test_sample_budget_pre_check_spends_nothing():
     h = unit_handle(lambda x: 0.0, 2)
     ledger = init_root(h)
-    with pytest.raises(BudgetExhaustedError):
-        sample_partition(ledger, 0, h, max_fun_evals=4)  # needs 4 more, only 3 left
+    plan = plan_samples(ledger, 0, 3)  # the root needs 4 evaluations, only 3 fit
+    assert plan.parent_ids == [] and plan.points.shape == (0, 2)
+    evaluate_samples(plan, h)
     assert h.eval_count == 1
+    assert divide_partition(ledger, plan) == []
     assert len(ledger) == 1
 
 
@@ -158,7 +161,7 @@ def test_division_order_sorts_by_min_value_then_coord():
     for j, coord in enumerate(plan.coords):
         for row, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
             expected = np.full(3, 0.5)
-            expected[coord] += sign * plan.delta
+            expected[coord] += sign * plan.deltas[0]
             assert plan.points[row].tobytes() == expected.tobytes()
     assert plan.values.tolist() == [fn(p) for p in plan.points]
     # exact tie between coords 0 and 2 -> lower coordinate first
@@ -171,7 +174,7 @@ def test_divide_root_n2_order_0_then_1():
     h = unit_handle(lookup_objective(plus=[1.0, 3.0], minus=[2.0, 4.0]), 2)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    ids = divide_partition(ledger, 0, plan)
+    ids = divide_partition(ledger, plan)
     assert ids == [1, 2, 3, 4]
     sides = {i: tuple(ledger.half_sides[i]) for i in range(5)}
     third, half = 0.5 / 3.0, 0.5
@@ -184,7 +187,7 @@ def test_divide_root_n2_order_1_then_0_mirrors():
     h = unit_handle(lookup_objective(plus=[3.0, 1.0], minus=[4.0, 2.0]), 2)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    divide_partition(ledger, 0, plan)
+    divide_partition(ledger, plan)
     third, half = 0.5 / 3.0, 0.5
     assert tuple(ledger.half_sides[1]) == (half, third)
     assert tuple(ledger.half_sides[2]) == (half, third)
@@ -195,10 +198,10 @@ def test_divide_root_1d():
     h = unit_handle(lambda x: float(x[0]), 1)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    divide_partition(ledger, 0, plan)
+    divide_partition(ledger, plan)
     assert len(ledger) == 3
     assert np.allclose(ledger.half_sides, 1.0 / 6.0)
-    assert ledger.total_volume() == pytest.approx(1.0)
+    assert tiles_cube(ledger)
 
 
 def test_every_sampled_point_becomes_exactly_one_center():
@@ -217,7 +220,7 @@ def test_lowest_new_value_gets_longest_child_diagonal():
     h = unit_handle(lambda x: float(rng.uniform()), 3)
     ledger = init_root(h)
     plan = sample_partition(ledger, 0, h)
-    ids = divide_partition(ledger, 0, plan)
+    ids = divide_partition(ledger, plan)
     diags = {i: float(np.linalg.norm(ledger.half_sides[i])) for i in ids}
     values = {i: float(ledger.values[i]) for i in ids}
     best = min(ids, key=lambda i: values[i])
@@ -229,7 +232,7 @@ def test_volume_conserved_after_runs():
         h = unit_handle(lambda x: float(np.sum(np.sin(3.0 * x) ** 2)), n)
         cfg = SolverConfig(variant="halo", local_search_enabled=False, stop=StopRule(max_fun_evals=800))
         trace = run(h, cfg)
-        assert abs(trace.ledger.total_volume() - 1.0) <= 1e-9
+        assert tiles_cube(trace.ledger)
 
 
 def test_strict_nesting_forced_chain():
@@ -238,7 +241,7 @@ def test_strict_nesting_forced_chain():
     previous = np.linalg.norm(ledger.half_sides[0])
     for _ in range(30):
         plan = sample_partition(ledger, 0, h)
-        divide_partition(ledger, 0, plan)
+        divide_partition(ledger, plan)
         current = np.linalg.norm(ledger.half_sides[0])
         assert current < previous
         previous = current

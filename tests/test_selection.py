@@ -1,8 +1,8 @@
 import numpy as np
 
 from halo.geometry import PartitionLedger
-from halo.lipschitz import blend_constants, global_slope_max
-from halo.selection import select_halo, select_hlo, select_potentially_optimal
+from halo.lipschitz import blend_constants, global_slope_max, lower_bounds
+from halo.selection import select_halo, select_potentially_optimal
 
 from conftest import class_diagonals, random_ledger, random_levels
 from oracles import brute_force_halo_selection, kgrid_potentially_optimal
@@ -56,13 +56,13 @@ def test_hlo_three_partition_worked_example():
     ledger = PartitionLedger(2)
     for value, level in ((0.9, 1), (1.0, 0), (0.5, 1)):
         ledger.append([0.5, 0.5], [level, level], value)
-    outcome = select_hlo(ledger, 1.0)
+    outcome = select_halo(ledger, 1.0)
     assert outcome.chosen == [2, 1]
 
 
 def test_hlo_single_partition():
     ledger = ledger_from_rows([([0, 0], 1.0, [0.0, 0.0])])
-    assert select_hlo(ledger, 3.0).chosen == [0]
+    assert select_halo(ledger, 3.0).chosen == [0]
 
 
 def test_brute_force_agreement(rng):
@@ -97,8 +97,22 @@ def test_hlo_equals_halo_when_slope_norms_equal(rng):
         g = global_slope_max(ledger)
         constants = blend_constants(ledger, g)
         a = select_halo(ledger, constants)
-        b = select_hlo(ledger, g)
+        b = select_halo(ledger, g)
         assert a.chosen == b.chosen
+
+
+def test_scalar_constant_is_every_local_constant_replaced(rng):
+    # hlo passes the global constant as a scalar: it must act as that
+    # constant repeated for every partition
+    for _ in range(100):
+        n = int(rng.integers(1, 5))
+        ledger = random_ledger(rng, n, int(rng.integers(1, 25)))
+        g = float(rng.uniform(0.0, 10.0))
+        full = np.full(len(ledger), g)
+        assert lower_bounds(ledger, g).tobytes() == lower_bounds(ledger, full).tobytes()
+        a, b = select_halo(ledger, g), select_halo(ledger, full)
+        assert a.chosen == b.chosen
+        assert a.reasons == b.reasons
 
 
 def test_selection_scale_invariance(rng):

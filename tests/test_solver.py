@@ -109,6 +109,13 @@ def test_constant_objective_halo_hlo_traces_coincide():
         assert np.array_equal(ra.point, rb.point)
 
 
+def largest_half_diagonal(max_iter):
+    """The largest half diagonal after the denseness run, cut at ``max_iter`` iterations."""
+    stop = StopRule(max_fun_evals=5000, max_iter=max_iter)
+    trace = run(unit_handle(rastrigin_like, 2), SolverConfig(variant="halo", local_search_enabled=False, stop=stop))
+    return float(trace.ledger.half_diagonals().max()), len(trace.iterations)
+
+
 def test_denseness_10x10_grid_5000_evals():
     h = unit_handle(rastrigin_like, 2)
     cfg = SolverConfig(variant="halo", local_search_enabled=False,
@@ -121,7 +128,11 @@ def test_denseness_10x10_grid_5000_evals():
     assert len(cells) == 100
     diags = trace.ledger.half_diagonals()
     assert diags.max() < np.sqrt(2.0) / 2.0
-    max_diags = [it.max_half_diagonal for it in trace.iterations]
+    # the largest half diagonal never grows: read it after 1, 10, 100 and all iterations
+    runs = [largest_half_diagonal(k) for k in (1, 10, 100, len(trace.iterations))]
+    assert [count for _, count in runs] == [1, 10, 100, len(trace.iterations)]
+    max_diags = [diag for diag, _ in runs]
+    assert max_diags[-1] == diags.max()
     assert all(b <= a for a, b in zip(max_diags, max_diags[1:]))
     assert max_diags[-1] < max_diags[0]
 
