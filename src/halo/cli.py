@@ -31,12 +31,11 @@ from .solver import SolverConfig, run
 
 
 def _solver_config(variant, budget, beta, tol, local_search) -> SolverConfig:
-    return SolverConfig(
-        variant=variant,
-        beta=beta,
-        stop=StopRule(max_fun_evals=budget, rel_error_tol=tol),
-        local_search_enabled=local_search,
-    )
+    try:  # FloatRange lets NaN through; the library rejects it
+        stop = StopRule(max_fun_evals=budget, rel_error_tol=tol)
+        return SolverConfig(variant=variant, beta=beta, stop=stop, local_search_enabled=local_search)
+    except ValueError as err:
+        raise click.UsageError(str(err)) from None
 
 
 def _resolve_problem(ref: str, n: int, seed: int):
@@ -54,7 +53,10 @@ def _resolve_problem(ref: str, n: int, seed: int):
     if ref == "schoen":
         return schoen_generate(seed, n)
     if ref in CLASSICAL_FUNCTIONS:
-        return classical_problem(ref, n)
+        try:
+            return classical_problem(ref, n)
+        except ValueError as err:  # a dimension the function is not defined at
+            raise click.UsageError(str(err)) from None
     known = ", ".join(sorted(CLASSICAL_FUNCTIONS))
     raise click.UsageError(f"unknown problem {ref!r}; use a manifest ref, 'schoen', or one of: {known}")
 

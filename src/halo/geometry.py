@@ -64,6 +64,9 @@ class BoxDomain:
         if not np.all(lower < upper):
             raise ValueError("every lower bound must be strictly below its upper bound")
         widths = upper - lower
+        # an infinite bound gives an infinite width; so can two huge finite ones
+        if not np.all(np.isfinite(widths)):
+            raise ValueError("bounds and their widths must be finite")
         for name, value in (("lower", lower), ("upper", upper), ("widths", widths)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -328,5 +331,6 @@ class StopRule:
     max_iter: int = 10_000_000
 
     def __post_init__(self):
-        if self.max_fun_evals < 1 or self.max_iter < 1 or self.rel_error_tol <= 0.0:
+        # written so that a NaN tolerance fails too
+        if self.max_fun_evals < 1 or self.max_iter < 1 or not self.rel_error_tol > 0.0:
             raise ValueError("stop rule fields must be strictly positive")

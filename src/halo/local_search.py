@@ -2,7 +2,9 @@
 
 A selected partition may seed a local search only once it is small enough
 (half diagonal below ``beta``) and no earlier start lies within the
-exclusion radius.  The optimizer itself is a cyclic coordinate search with
+exclusion radius.  ``gate_local_search`` decides; ``start_local_search``
+owns the rest of the policy (exclusion ball, budget cap, first step) and
+runs the search.  The optimizer itself is a cyclic coordinate search with
 an Armijo-style sufficient-decrease test and per-coordinate step control,
 projected onto the unit cube.
 """
@@ -10,7 +12,7 @@ projected onto the unit cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -28,6 +30,9 @@ STEP_SHRINK = 0.5
 # A local search may not start within this distance of an earlier start.
 EXCLUSION_RADIUS = 1e-4
 
+# Cap on evaluations a single local search may consume, per dimension.
+LOCAL_SEARCH_BUDGET_PER_DIM = 100
+
 
 @dataclass
 class LocalResult:
@@ -39,44 +44,63 @@ class LocalResult:
     converged: bool
 
 
-def gate_local_search(
-    candidate_id: int,
-    ledger: PartitionLedger,
-    excluded: set[int],
-    beta: float,
-    before_run: Optional[Callable[[], None]] = None,
-) -> str:
+def _half_diagonal(ledger: PartitionLedger, pid: int) -> float:
+    # the 1-d norm, which can differ from half_diagonals() in the last bit
+    return float(np.linalg.norm(HALF_SIDES[ledger.levels[pid]]))
+
+
+def gate_local_search(candidate_id: int, ledger: PartitionLedger, excluded: set[int], beta: float) -> str:
     """Decide what to do with a lowest-bound or lowest-value winner.
 
     A partition whose half diagonal exceeds ``beta`` is simply divided.  A
-    small one starts a local search when no excluded center lies within
-    ``EXCLUSION_RADIUS`` of its center, in which case the candidate and
-    every ledger center inside that ball join ``excluded``; otherwise the
-    candidate is only excluded and is neither sampled nor divided this
-    iteration.  ``before_run`` is called once a search is decided, before
-    the ball is collected, so that rows it writes to the ledger are
-    collected too.
+    small one may start a local search (``RUN``) when no excluded center
+    lies within ``EXCLUSION_RADIUS`` of its center; otherwise the candidate
+    joins ``excluded`` and is neither sampled nor divided this iteration.
+    The gate only decides: ``start_local_search`` collects the exclusion
+    ball of a search it lets run.
     """
-    # the 1-d norm, which can differ from half_diagonals() in the last bit
-    half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[candidate_id]]))
-    if half_diag > beta:
+    if _half_diagonal(ledger, candidate_id) > beta:
         return SELECT_FOR_DIVISION
     if candidate_id in excluded:
         # a member's own center lies at distance 0 from the set
         return SKIP_DIVISION_ONLY
-    center = ledger.centers[candidate_id]
     if excluded:
         member_ids = np.fromiter(excluded, dtype=int)
-        dists = np.linalg.norm(ledger.centers[member_ids] - center, axis=1)
+        dists = np.linalg.norm(ledger.centers[member_ids] - ledger.centers[candidate_id], axis=1)
         if bool((dists <= EXCLUSION_RADIUS).any()):
             excluded.add(candidate_id)
             return SKIP_DIVISION_ONLY
-    if before_run is not None:
-        before_run()
+    return RUN
+
+
+def start_local_search(
+    candidate_id: int,
+    ledger: PartitionLedger,
+    obj: ObjectiveHandle,
+    excluded: set[int],
+    budget: int,
+    on_eval: Optional[OnEval] = None,
+) -> LocalResult:
+    """Run a local search from the center of a partition the gate let run.
+
+    Every ledger center within ``EXCLUSION_RADIUS`` of the start, the
+    candidate's own included, joins ``excluded``; the ball is taken from
+    the ledger as it stands, so rows written before the call are in it.
+    The search spends at most ``min(budget, LOCAL_SEARCH_BUDGET_PER_DIM * n)``
+    evaluations, starts from the stored center value without evaluating
+    it, and takes ``max(1e-3, half diagonal)`` as its first step.
+    """
+    center = ledger.centers[candidate_id].copy()
     near = np.flatnonzero(np.linalg.norm(ledger.centers - center, axis=1) <= EXCLUSION_RADIUS)
     excluded.update(int(i) for i in near)
-    excluded.add(candidate_id)
-    return RUN
+    return coordinate_descent_minimize(
+        obj,
+        center,
+        budget=min(budget, LOCAL_SEARCH_BUDGET_PER_DIM * ledger.dim),
+        initial_step=max(1e-3, _half_diagonal(ledger, candidate_id)),
+        f0=float(ledger.values[candidate_id]),
+        on_eval=on_eval,
+    )
 
 
 def coordinate_descent_minimize(

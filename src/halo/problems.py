@@ -249,12 +249,16 @@ class FunctionSpec:
     """Registry entry: how to instantiate one classical function at a dimension."""
 
     fn: Callable
-    dims: Optional[tuple[int, ...]]  # None = any dimension >= 2
+    dims: Optional[tuple[int, ...]]  # None = any dimension >= min_dim
     lower: Callable[[int], np.ndarray]
     upper: Callable[[int], np.ndarray]
     minimizer: Callable[[int], np.ndarray]
     optimum: Optional[Callable[[int], float]] = None  # None = evaluate at minimizer
     center_optimum: bool = False
+    min_dim: int = 1
+
+    def defined_at(self, n: int) -> bool:
+        return n >= self.min_dim and (self.dims is None or n in self.dims)
 
 
 def _box(lo: float, hi: float):
@@ -266,7 +270,8 @@ def _registry() -> dict[str, FunctionSpec]:
     lo, hi = _box(-5.12, 5.12)
     reg["sphere"] = FunctionSpec(sphere, None, lo, hi, lambda n: np.zeros(n), lambda n: 0.0, True)
     lo, hi = _box(-5.0, 10.0)
-    reg["rosenbrock"] = FunctionSpec(rosenbrock, None, lo, hi, lambda n: np.ones(n), lambda n: 0.0)
+    # at n = 1 the sum has no terms and the function is 0 everywhere
+    reg["rosenbrock"] = FunctionSpec(rosenbrock, None, lo, hi, lambda n: np.ones(n), lambda n: 0.0, min_dim=2)
     lo, hi = _box(-5.12, 5.12)
     reg["rastrigin"] = FunctionSpec(rastrigin, None, lo, hi, lambda n: np.zeros(n), lambda n: 0.0, True)
     lo, hi = _box(-32.768, 32.768)
@@ -333,10 +338,8 @@ def classical_problem(name: str, n: int) -> TestProblem:
     if name not in CLASSICAL_FUNCTIONS:
         raise KeyError(f"unknown test function {name!r}")
     spec = CLASSICAL_FUNCTIONS[name]
-    if spec.dims is not None and n not in spec.dims:
+    if not spec.defined_at(n):
         raise ValueError(f"{name} is not defined at dimension {n}")
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
     minimizer = np.asarray(spec.minimizer(n), dtype=float)
     optimum = float(spec.fn(minimizer)) if spec.optimum is None else float(spec.optimum(n))
     return TestProblem(
@@ -354,7 +357,7 @@ def classical_suite(n: int) -> list[TestProblem]:
     """All registered functions available at dimension ``n``, unshifted."""
     problems = []
     for name, spec in CLASSICAL_FUNCTIONS.items():
-        if spec.dims is None or n in spec.dims:
+        if spec.defined_at(n):
             problems.append(classical_problem(name, n))
     return problems
 

@@ -16,24 +16,14 @@ from .geometry import PartitionLedger
 from .lipschitz import lower_bounds
 
 
-@dataclass(frozen=True)
-class SelectionReason:
-    """Why a partition was chosen; one id may satisfy several criteria."""
-
-    lowest_lower_bound: bool = False
-    lowest_value: bool = False
-    largest_best_bound: bool = False
-
-    @property
-    def local_search_candidate(self) -> bool:
-        """Only lowest-bound / lowest-value winners may seed a local search."""
-        return self.lowest_lower_bound or self.lowest_value
-
-
 @dataclass
 class SelectionOutcome:
+    """The chosen ids and the winner of each criterion."""
+
     chosen: list[int]
-    reasons: dict[int, SelectionReason]
+    lowest_bound: int
+    lowest_value: int
+    largest_best: int
 
 
 def select_halo(ledger: PartitionLedger, constants) -> SelectionOutcome:
@@ -47,9 +37,10 @@ def select_halo(ledger: PartitionLedger, constants) -> SelectionOutcome:
     Criterion 3: among the largest partitions (least depth, so maximal half
     diagonal), the lowest lower bound.
 
-    Argmin ties break toward the lowest id.  The chosen list keeps the
-    criterion order 1, 2, 3 with duplicates merged, so it never holds more
-    than three ids.
+    Argmin ties break toward the lowest id.  The outcome names each
+    criterion's winner (``lowest_bound``, ``lowest_value``,
+    ``largest_best``); ``chosen`` lists them in criterion order 1, 2, 3
+    with duplicates merged, so it never holds more than three ids.
     """
     if len(ledger) == 0:
         raise ValueError("ledger is empty")
@@ -62,19 +53,7 @@ def select_halo(ledger: PartitionLedger, constants) -> SelectionOutcome:
     in_max = np.flatnonzero(depths == depths.min())
     q3 = int(in_max[np.argmin(bounds[in_max])])
 
-    chosen: list[int] = []
-    for q in (q1, q2, q3):
-        if q not in chosen:
-            chosen.append(q)
-    reasons = {
-        q: SelectionReason(
-            lowest_lower_bound=(q == q1),
-            lowest_value=(q == q2),
-            largest_best_bound=(q == q3),
-        )
-        for q in chosen
-    }
-    return SelectionOutcome(chosen, reasons)
+    return SelectionOutcome(list(dict.fromkeys((q1, q2, q3))), q1, q2, q3)
 
 
 def _size_classes(

@@ -14,20 +14,9 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (
-    HALF_SIDES,
-    ObjectiveError,
-    ObjectiveHandle,
-    PartitionLedger,
-    StopRule,
-)
+from .geometry import ObjectiveError, ObjectiveHandle, PartitionLedger, StopRule
 from .lipschitz import blend_constants, global_slope_max
-from .local_search import (
-    RUN,
-    SELECT_FOR_DIVISION,
-    coordinate_descent_minimize,
-    gate_local_search,
-)
+from .local_search import RUN, SELECT_FOR_DIVISION, gate_local_search, start_local_search
 from .partitioning import divide_partition, evaluate_samples, init_root, plan_samples
 from .selection import select_halo, select_potentially_optimal
 
@@ -36,9 +25,6 @@ VARIANTS = ("halo", "hlo", "direct")
 STATUS_SOLVED = "solved"
 STATUS_BUDGET = "budget_exhausted"
 STATUS_ITER_LIMIT = "iter_limit"
-
-# Cap on evaluations a single local refinement may consume, per dimension.
-LOCAL_SEARCH_BUDGET_PER_DIM = 100
 
 # Relative improvement a potentially-optimal partition must promise (direct).
 DIRECT_EPSILON_REL = 1e-4
@@ -56,7 +42,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.beta < 0.0:
+        if not self.beta >= 0.0:  # NaN fails too
             raise ValueError("beta must be nonnegative")
 
 
@@ -113,15 +99,18 @@ def _is_solved(best: float, known_optimum: Optional[float], tol: float) -> bool:
 def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     """Run the configured variant on ``obj`` until a stop rule fires.
 
-    Each iteration selects partitions from the current ledger snapshot and
-    processes them in criterion order: gate a possible local refinement
-    (halo/hlo only), then sample, divide and refresh slopes.  Divisions
-    are made in blocks: all of an iteration's, or, when a local search
-    starts, the ones chosen before it and then the rest.  The solved check
-    fires after every single evaluation, so the evaluation count at which
-    a problem is solved is exact; sampling pre-checks the budget so a
-    division either happens completely or not at all, and the first
-    division that does not fit ends the run.
+    Each iteration has three steps.  Select: choose partitions from the
+    current ledger snapshot.  Refine (halo/hlo only): a lowest-bound or
+    lowest-value winner goes through ``gate_local_search``; if the gate
+    lets it run, the divisions pending so far are made and
+    ``start_local_search`` runs from it.  Divide: every other chosen
+    partition, and the largest-box winner in any case, is sampled, divided
+    and has its slopes refreshed, in blocks: all of an iteration's, or,
+    when a local search starts, the ones chosen before it and then the
+    rest.  The solved check fires after every single evaluation, so the
+    evaluation count at which a problem is solved is exact; sampling
+    pre-checks the budget so a division either happens completely or not
+    at all, and the first division that does not fit ends the run.
     """
     stop = cfg.stop
     evals: list[EvalRecord] = []
@@ -186,40 +175,34 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
             g_const = global_slope_max(ledger)
             if cfg.variant == "direct":
                 chosen = select_potentially_optimal(ledger, DIRECT_EPSILON_REL)
-                reasons = {}
+                seeds, largest = (), None
             else:
                 # hlo replaces every local constant by the global one
                 constants = blend_constants(ledger, g_const) if cfg.variant == "halo" else g_const
                 outcome = select_halo(ledger, constants)
-                chosen, reasons = outcome.chosen, outcome.reasons
+                chosen, largest = outcome.chosen, outcome.largest_best
+                seeds = (outcome.lowest_bound, outcome.lowest_value) if cfg.local_search_enabled else ()
 
             # Divisions wait in one block until the iteration ends or a local
             # search starts: the search's exclusion ball must see their
             # children, and its evaluations come after their samples.
             for pid in chosen:
-                reason = reasons.get(pid)
-                if cfg.local_search_enabled and reason is not None and reason.local_search_candidate:
-                    decision = gate_local_search(pid, ledger, excluded, cfg.beta, before_run=divide_pending)
+                if pid in seeds:
+                    decision = gate_local_search(pid, ledger, excluded, cfg.beta)
                     if decision == RUN:
+                        divide_pending()
                         if budget_hit or obj.eval_count >= stop.max_fun_evals:
                             break
                         n_local += 1
-                        half_diag = float(np.linalg.norm(HALF_SIDES[ledger.levels[pid]]))
-                        remaining = stop.max_fun_evals - obj.eval_count
                         mark = len(evals)
                         try:
-                            coordinate_descent_minimize(
-                                obj,
-                                ledger.centers[pid].copy(),
-                                budget=min(remaining, LOCAL_SEARCH_BUDGET_PER_DIM * ledger.dim),
-                                initial_step=max(1e-3, half_diag),
-                                f0=float(ledger.values[pid]),
-                                on_eval=record,
+                            start_local_search(
+                                pid, ledger, obj, excluded, stop.max_fun_evals - obj.eval_count, on_eval=record
                             )
                         finally:
                             n_local_evals += len(evals) - mark
                     # the largest-box mandate still forces a division
-                    if decision != SELECT_FOR_DIVISION and not reason.largest_best_bound:
+                    if decision != SELECT_FOR_DIVISION and pid != largest:
                         continue
                 pending.append(pid)
             divide_pending()

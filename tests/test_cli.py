@@ -130,11 +130,17 @@ def test_trace_floats_are_17_digit(tmp_path):
         ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--tol", "-1"),
         ("solve", "--problem", "schoen", "--seed", "-1"),
         ("gen", "--family", "schoen", "--n", "2", "--count", "2", "--seed", "-1"),
+        ("solve", "--problem", "sphere", "--beta", "nan"),
+        ("solve", "--problem", "sphere", "--tol", "nan"),
+        ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--beta", "nan"),
+        ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--tol", "nan"),
+        ("solve", "--problem", "rosenbrock", "--n", "1"),
     ],
     ids=["gen-count-negative", "gen-count-zero", "gen-n-zero", "solve-index-not-int",
          "solve-n-zero", "solve-budget-zero", "bench-budget-zero", "bench-jobs-zero",
          "solve-beta-negative", "solve-tol-zero", "bench-tol-negative", "solve-seed-negative",
-         "gen-seed-negative"],
+         "gen-seed-negative", "solve-beta-nan", "solve-tol-nan", "bench-beta-nan", "bench-tol-nan",
+         "solve-rosenbrock-n1"],
 )
 def test_bad_input_is_a_usage_error_and_writes_nothing(tmp_path, args):
     out = tmp_path / "out.json"

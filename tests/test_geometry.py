@@ -94,6 +94,12 @@ def test_box_domain_validation():
         BoxDomain([0.0, 1.0], [1.0, 1.0])
     with pytest.raises(ValueError):
         BoxDomain([], [])
+    for lower, upper in (([-np.inf], [0.0]), ([0.0, 0.0], [1.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            BoxDomain(lower, upper)
+    # finite bounds whose width overflows
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+        BoxDomain([-1e308], [1e308])
 
 
 def test_domain_widths_are_computed_once_and_read_only():
@@ -112,6 +118,8 @@ def test_stop_rule_validation():
         StopRule(rel_error_tol=0.0)
     with pytest.raises(ValueError):
         StopRule(max_iter=0)
+    with pytest.raises(ValueError):
+        StopRule(rel_error_tol=float("nan"))
 
 
 def test_eval_count_increments_once_per_call():

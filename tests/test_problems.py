@@ -23,6 +23,8 @@ def test_suite_composition():
     assert "hartmann3" in names3 and "beale" not in names3
     names6 = [p.name for p in classical_suite(6)]
     assert "hartmann6" in names6
+    names1 = [p.name for p in classical_suite(1)]
+    assert "sphere" in names1 and "rosenbrock" not in names1
 
 
 def test_minimizer_evaluates_to_optimum_all_dims():
@@ -120,6 +122,9 @@ def test_unknown_function_and_bad_dimension():
         classical_problem("nosuch", 2)
     with pytest.raises(ValueError):
         classical_problem("beale", 3)
+    # at n = 1 Rosenbrock has no terms, so it is 0 everywhere
+    with pytest.raises(ValueError):
+        classical_problem("rosenbrock", 1)
 
 
 def test_handle_isolation():

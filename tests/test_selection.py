@@ -21,8 +21,7 @@ def test_single_partition_gets_all_flags():
     ledger = ledger_from_rows([([0, 0], 1.0, [0.0, 0.0])])
     outcome = select_halo(ledger, np.array([0.0]))
     assert outcome.chosen == [0]
-    reason = outcome.reasons[0]
-    assert reason.lowest_lower_bound and reason.lowest_value and reason.largest_best_bound
+    assert outcome.lowest_bound == outcome.lowest_value == outcome.largest_best == 0
 
 
 def test_equal_diagonals_and_constants_pick_lower_value():
@@ -31,8 +30,7 @@ def test_equal_diagonals_and_constants_pick_lower_value():
     )
     outcome = select_halo(ledger, np.array([1.0, 1.0]))
     assert outcome.chosen == [0]
-    reason = outcome.reasons[0]
-    assert reason.lowest_lower_bound and reason.lowest_value and reason.largest_best_bound
+    assert outcome.lowest_bound == outcome.lowest_value == outcome.largest_best == 0
 
 
 def test_three_partition_worked_example():
@@ -45,10 +43,8 @@ def test_three_partition_worked_example():
     constants = np.ones(3)
     outcome = select_halo(ledger, constants)
     assert outcome.chosen == [2, 1]
-    assert outcome.reasons[2].lowest_lower_bound and outcome.reasons[2].lowest_value
-    assert outcome.reasons[1].largest_best_bound
-    assert not outcome.reasons[1].local_search_candidate
-    assert outcome.reasons[2].local_search_candidate
+    assert outcome.lowest_bound == outcome.lowest_value == 2
+    assert outcome.largest_best == 1
 
 
 def test_hlo_three_partition_worked_example():
@@ -79,9 +75,7 @@ def test_brute_force_agreement(rng):
             if q not in expected:
                 expected.append(q)
         assert outcome.chosen == expected
-        assert outcome.reasons[q1].lowest_lower_bound
-        assert outcome.reasons[q2].lowest_value
-        assert outcome.reasons[q3].largest_best_bound
+        assert (outcome.lowest_bound, outcome.lowest_value, outcome.largest_best) == (q1, q2, q3)
 
 
 def test_hlo_equals_halo_when_slope_norms_equal(rng):
@@ -111,8 +105,7 @@ def test_scalar_constant_is_every_local_constant_replaced(rng):
         full = np.full(len(ledger), g)
         assert lower_bounds(ledger, g).tobytes() == lower_bounds(ledger, full).tobytes()
         a, b = select_halo(ledger, g), select_halo(ledger, full)
-        assert a.chosen == b.chosen
-        assert a.reasons == b.reasons
+        assert a == b
 
 
 def test_selection_scale_invariance(rng):
@@ -147,9 +140,7 @@ def test_criterion3_picks_lowest_bound_not_lowest_constant():
     ledger.append([0.5], [0], 5.0, [0.2])   # low constant, bad bound
     ledger.append([0.5], [0], 0.0, [3.0])   # high constant, good bound
     constants = np.array([0.2, 3.0])
-    by_bound = select_halo(ledger, constants)
-    crit3_bound = [q for q in by_bound.chosen if by_bound.reasons[q].largest_best_bound]
-    assert crit3_bound == [1]
+    assert select_halo(ledger, constants).largest_best == 1
 
 
 def test_potentially_optimal_single():
@@ -211,4 +202,4 @@ def test_permuted_sides_form_one_size_class():
     assert diags[0] < diags[1]
     assert select_potentially_optimal(ledger, 0.0) == [0]
     outcome = select_halo(ledger, np.zeros(3))
-    assert [q for q in outcome.chosen if outcome.reasons[q].largest_best_bound] == [0]
+    assert outcome.largest_best == 0

@@ -196,6 +196,14 @@ def test_variant_validation():
         SolverConfig(variant="annealing")
 
 
+def test_beta_validation():
+    for beta in (-1e-4, float("nan")):
+        with pytest.raises(ValueError):
+            SolverConfig(beta=beta)
+    for beta in (0.0, np.inf):
+        SolverConfig(beta=beta)
+
+
 # Under direct, iteration 2 of rastrigin_like in 2-D divides the block
 # (0, 1, 2, 4, 6) with 4, 2, 4, 4 and 4 evaluations: ids 0 and 1 take
 # evaluations 8-13, id 2 takes 14-17.
