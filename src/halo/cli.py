@@ -49,7 +49,10 @@ def _resolve_problem(ref: str, n: int, seed: int):
             raise click.UsageError(f"manifest index must be an integer, got #{index}") from None
         if not 0 <= i < len(records):
             raise click.UsageError(f"manifest {path} has {len(records)} records, asked for #{i}")
-        return problem_from_record(records[i])
+        try:
+            return problem_from_record(records[i])
+        except (KeyError, TypeError, ValueError) as err:  # a record that describes no problem
+            raise click.UsageError(f"manifest {path} record #{i}: {err}") from None
     if ref == "schoen":
         return schoen_generate(seed, n)
     if ref in CLASSICAL_FUNCTIONS:

@@ -56,23 +56,6 @@ def select_halo(ledger: PartitionLedger, constants) -> SelectionOutcome:
     return SelectionOutcome(list(dict.fromkeys((q1, q2, q3))), q1, q2, q3)
 
 
-def _size_classes(
-    depths: np.ndarray, diags: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Group rows by depth, i.e. by box size.
-
-    Returns each class's largest half diagonal (rows of one class can
-    differ in the last bit, as their sides come in different orders), its
-    lowest value, and the class index of every row.
-    """
-    order = np.argsort(depths, kind="stable")
-    sorted_depths = depths[order]
-    starts = np.flatnonzero(np.diff(sorted_depths, prepend=-1))
-    class_d = np.maximum.reduceat(diags[order], starts)
-    class_f = np.minimum.reduceat(values[order], starts)
-    return class_d, class_f, np.searchsorted(sorted_depths[starts], depths)
-
-
 def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> list[int]:
     """Ids that are potentially optimal in the dividing-rectangles sense.
 
@@ -81,8 +64,21 @@ def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> l
     ``epsilon`` below the incumbent, with ``epsilon = epsilon_rel * |f_min|``
     (floored at 1e-8 when f_min is exactly 0 so the test is not vacuous).
     Equivalent to sitting on the lower-right convex hull of the
-    (half diagonal, value) cloud; computed here per size class (rows of
-    equal depth) through the feasible-K interval of each class minimum.
+    (half diagonal, value) cloud.
+
+    Rows of equal depth form one size class.  One group-by pass over the
+    integer depth offsets gives each class's lowest value and largest half
+    diagonal (rows of one class can differ in the last bit, as their sides
+    come in different orders); min and max do not depend on row order.
+    The hull test then runs on the class-by-class matrix: for each class
+    minimum, ``k_low`` is the steepest slope down to a smaller class (0
+    if there is none), ``k_high`` the shallowest slope up to a larger
+    class (inf if there is none) and ``k_eps`` the slope to
+    ``f_min - epsilon``.  The class qualifies when ``k_high > 0`` and
+    ``k_high >= max(k_low, k_eps)``; that max keeps ``k_low`` unless
+    ``k_eps`` is strictly greater, so a NaN in either one decides as a
+    plain two-way max would.  Every row that holds its class's qualifying
+    minimum is chosen; the ids come back ascending.
     """
     if len(ledger) == 0:
         raise ValueError("ledger is empty")
@@ -93,16 +89,28 @@ def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> l
     if epsilon_rel > 0.0 and f_min == 0.0:
         eps_abs = 1e-8
 
-    class_d, class_f, row_class = _size_classes(ledger.depths, diags, values)
-    optimal = np.zeros(class_d.size, dtype=bool)
-    for i in range(class_d.size):
-        d_i, f_i = class_d[i], class_f[i]
-        below = class_d < d_i
-        above = class_d > d_i
-        k_low = float(np.max((f_i - class_f[below]) / (d_i - class_d[below]))) if below.any() else 0.0
-        k_high = float(np.min((class_f[above] - f_i) / (class_d[above] - d_i))) if above.any() else np.inf
-        k_eps = (f_i - (f_min - eps_abs)) / d_i
-        k_need = max(k_low, k_eps)
-        optimal[i] = k_high > 0.0 and k_high >= k_need
-    hit = optimal[row_class] & (values == class_f[row_class])
-    return [int(j) for j in np.flatnonzero(hit)]
+    depths = ledger.depths
+    offsets = depths - depths.min()
+    present = np.bincount(offsets) > 0
+    class_f = np.full(present.size, np.inf)
+    class_d = np.full(present.size, -np.inf)
+    # ``minimum.at`` flags a NaN value as invalid, and entry [i, j] of the
+    # matrices below pairs the minimum of class i with that of class j, so
+    # the entries the masks drop (the diagonal's 0/0, inf - inf) may warn.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.minimum.at(class_f, offsets, values)
+        np.maximum.at(class_d, offsets, diags)
+        f, d = class_f[present], class_d[present]
+        k_low = (f[:, None] - f[None, :]) / (d[:, None] - d[None, :])
+        k_high = (f[None, :] - f[:, None]) / (d[None, :] - d[:, None])
+        k_eps = (f - (f_min - eps_abs)) / d
+    below = d[None, :] < d[:, None]
+    above = d[None, :] > d[:, None]
+    k_low = np.where(below.any(axis=1), np.where(below, k_low, -np.inf).max(axis=1), 0.0)
+    k_high = np.where(above, k_high, np.inf).min(axis=1)
+    k_need = np.where(k_eps > k_low, k_eps, k_low)
+    optimal = np.zeros(present.size, dtype=bool)
+    optimal[present] = (k_high > 0.0) & (k_high >= k_need)
+
+    hit = optimal[offsets] & (values == class_f[offsets])
+    return np.flatnonzero(hit).tolist()

@@ -25,6 +25,7 @@ VARIANTS = ("halo", "hlo", "direct")
 STATUS_SOLVED = "solved"
 STATUS_BUDGET = "budget_exhausted"
 STATUS_ITER_LIMIT = "iter_limit"
+STATUS_STALLED = "stalled"
 
 # Relative improvement a potentially-optimal partition must promise (direct).
 DIRECT_EPSILON_REL = 1e-4
@@ -111,6 +112,13 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     evaluation count at which a problem is solved is exact; sampling
     pre-checks the budget so a division either happens completely or not
     at all, and the first division that does not fit ends the run.
+
+    An iteration that chooses nothing ends the run with ``stalled``: the
+    ledger would not change, so every later iteration would choose nothing
+    too.  Only ``direct`` can stall, when a NaN or -inf value makes every
+    class fail the potentially-optimal test; ``halo`` and ``hlo`` always
+    choose their largest-box winner.  The empty iteration is not recorded,
+    so ``iterations`` holds only iterations that chose something.
     """
     stop = cfg.stop
     evals: list[EvalRecord] = []
@@ -175,6 +183,9 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
             g_const = global_slope_max(ledger)
             if cfg.variant == "direct":
                 chosen = select_potentially_optimal(ledger, DIRECT_EPSILON_REL)
+                if not chosen:
+                    status = STATUS_STALLED
+                    break
                 seeds, largest = (), None
             else:
                 # hlo replaces every local constant by the global one

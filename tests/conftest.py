@@ -39,6 +39,16 @@ def random_ledger(rng, n, count):
     return ledger
 
 
+def random_objective(seed: int, n: int):
+    """A smooth multimodal function with seeded coefficients."""
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(0.0, 1.0, n)
+    weights = rng.uniform(0.1, 10.0, n)
+    freqs = rng.uniform(1.0, 20.0, n)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n)
+    return lambda x: float(np.sum(weights * (x - center) ** 2 + np.cos(freqs * x + phases)))
+
+
 def tiles_cube(ledger) -> bool:
     """Whether the box volumes add up to exactly 1, in integers.
 

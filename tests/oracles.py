@@ -85,6 +85,46 @@ def kgrid_potentially_optimal(values, diags, epsilon_rel, n_grid=10_000):
     return set(int(i) for i in np.flatnonzero(hit.any(axis=0)))
 
 
+def per_class_potentially_optimal(depths, diags, values, epsilon_rel):
+    """Potentially-optimal ids by a sort into depth classes and a loop over them.
+
+    The earlier form of ``select_potentially_optimal``, kept as the
+    reference its vectorized form must match bit for bit: a stable argsort
+    of the depths, a ``reduceat`` per class column, then the feasible-K
+    interval of each class minimum, one class at a time with two masked
+    reductions over all classes.  Non-finite values make 0/0 and inf - inf
+    along the way; those warnings are silenced, as the results stand.
+    """
+    depths = np.asarray(depths)
+    diags = np.asarray(diags, dtype=float)
+    values = np.asarray(values, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f_min = float(values.min())
+        eps_abs = epsilon_rel * abs(f_min)
+        if epsilon_rel > 0.0 and f_min == 0.0:
+            eps_abs = 1e-8
+
+        order = np.argsort(depths, kind="stable")
+        sorted_depths = depths[order]
+        starts = np.flatnonzero(np.diff(sorted_depths, prepend=-1))
+        class_d = np.maximum.reduceat(diags[order], starts)
+        class_f = np.minimum.reduceat(values[order], starts)
+        row_class = np.searchsorted(sorted_depths[starts], depths)
+
+        optimal = np.zeros(class_d.size, dtype=bool)
+        for i in range(class_d.size):
+            d_i, f_i = class_d[i], class_f[i]
+            below = class_d < d_i
+            above = class_d > d_i
+            k_low = float(np.max((f_i - class_f[below]) / (d_i - class_d[below]))) if below.any() else 0.0
+            k_high = float(np.min((class_f[above] - f_i) / (class_d[above] - d_i))) if above.any() else np.inf
+            k_eps = (f_i - (f_min - eps_abs)) / d_i
+            k_need = max(k_low, k_eps)
+            optimal[i] = k_high > 0.0 and k_high >= k_need
+        hit = optimal[row_class] & (values == class_f[row_class])
+    return [int(j) for j in np.flatnonzero(hit)]
+
+
 def blend_local_constant(half_sides, slopes, global_constant: float) -> float:
     """Local Lipschitz constant of one box from its half sides and slope row.
 

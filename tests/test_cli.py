@@ -10,6 +10,15 @@ from halo.serialize import read_json, read_jsonl
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
+# records that load as JSON but describe no problem; "{bad}" in an argument
+# stands for the path of a manifest holding them, written outside tmp_path
+BAD_RECORDS = [
+    {"name": "rosenbrock-n1", "family": "classical", "function": "rosenbrock", "n": 1},
+    {"name": "nope", "family": "nope", "n": 2},
+    {"name": "no-function", "family": "classical", "n": 2},
+    {"name": "n-null", "family": "classical", "function": "sphere", "n": None},
+]
+
 
 def invoke(*args):
     runner = CliRunner()
@@ -135,14 +144,23 @@ def test_trace_floats_are_17_digit(tmp_path):
         ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--beta", "nan"),
         ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--tol", "nan"),
         ("solve", "--problem", "rosenbrock", "--n", "1"),
+        ("solve", "--problem", "{bad}#0"),
+        ("solve", "--problem", "{bad}#1"),
+        ("solve", "--problem", "{bad}#2"),
+        ("solve", "--problem", "{bad}#3"),
     ],
     ids=["gen-count-negative", "gen-count-zero", "gen-n-zero", "solve-index-not-int",
          "solve-n-zero", "solve-budget-zero", "bench-budget-zero", "bench-jobs-zero",
          "solve-beta-negative", "solve-tol-zero", "bench-tol-negative", "solve-seed-negative",
          "gen-seed-negative", "solve-beta-nan", "solve-tol-nan", "bench-beta-nan", "bench-tol-nan",
-         "solve-rosenbrock-n1"],
+         "solve-rosenbrock-n1", "solve-manifest-rosenbrock-n1", "solve-manifest-unknown-family",
+         "solve-manifest-no-function", "solve-manifest-n-null"],
 )
-def test_bad_input_is_a_usage_error_and_writes_nothing(tmp_path, args):
+def test_bad_input_is_a_usage_error_and_writes_nothing(tmp_path, tmp_path_factory, args):
+    if any("{bad}" in a for a in args):
+        bad = tmp_path_factory.mktemp("manifest") / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in BAD_RECORDS))
+        args = [a.replace("{bad}", str(bad)) for a in args]
     out = tmp_path / "out.json"
     result = CliRunner().invoke(main, [*args, "--out", str(out)])
     assert result.exit_code == 2, result.output

@@ -12,18 +12,8 @@ from halo.geometry import StopRule
 from halo.partitioning import divide_partition, evaluate_samples, plan_samples
 from halo.solver import VARIANTS, SolverConfig, run
 
-from conftest import ledger_bytes, tiles_cube, unit_handle
+from conftest import ledger_bytes, random_objective, tiles_cube, unit_handle
 from oracles import ReferenceLedger, divide_one_at_a_time
-
-
-def random_objective(seed: int, n: int):
-    """A smooth multimodal function with seeded coefficients."""
-    rng = np.random.default_rng(seed)
-    center = rng.uniform(0.0, 1.0, n)
-    weights = rng.uniform(0.1, 10.0, n)
-    freqs = rng.uniform(1.0, 20.0, n)
-    phases = rng.uniform(0.0, 2.0 * np.pi, n)
-    return lambda x: float(np.sum(weights * (x - center) ** 2 + np.cos(freqs * x + phases)))
 
 
 def tolerance_classes(diags: np.ndarray) -> set[frozenset[int]]:

@@ -1,11 +1,17 @@
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from halo.geometry import PartitionLedger
+import halo.solver
+from halo.geometry import PartitionLedger, StopRule
 from halo.lipschitz import blend_constants, global_slope_max, lower_bounds
 from halo.selection import select_halo, select_potentially_optimal
+from halo.solver import SolverConfig, run
 
-from conftest import class_diagonals, random_ledger, random_levels
-from oracles import brute_force_halo_selection, kgrid_potentially_optimal
+from conftest import class_diagonals, random_ledger, random_levels, random_objective, unit_handle
+from oracles import brute_force_halo_selection, kgrid_potentially_optimal, per_class_potentially_optimal
+
+EPSILONS = (0.0, 1e-4, 0.5)
 
 
 def ledger_from_rows(rows):
@@ -203,3 +209,73 @@ def test_permuted_sides_form_one_size_class():
     assert select_potentially_optimal(ledger, 0.0) == [0]
     outcome = select_halo(ledger, np.zeros(3))
     assert outcome.largest_best == 0
+
+
+def assert_matches_per_class_loop(ledger):
+    for eps in EPSILONS:
+        expected = per_class_potentially_optimal(ledger.depths, ledger.half_diagonals(), ledger.values, eps)
+        assert select_potentially_optimal(ledger, eps) == expected
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    budget=st.integers(min_value=1, max_value=600),
+    variant=st.sampled_from(("direct", "halo")),
+)
+@settings(max_examples=40, deadline=None)
+def test_potentially_optimal_matches_per_class_loop_on_run_ledgers(seed, n, budget, variant):
+    cfg = SolverConfig(variant=variant, beta=1e-2, stop=StopRule(max_fun_evals=budget))
+    assert_matches_per_class_loop(run(unit_handle(random_objective(seed, n), n), cfg).ledger)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    count=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=60, deadline=None)
+def test_potentially_optimal_matches_per_class_loop_on_random_ledgers(seed, n, count):
+    assert_matches_per_class_loop(random_ledger(np.random.default_rng(seed), n, count))
+
+
+# a small pool makes ties, all-equal ledgers and f_min == 0 common
+EDGE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=3),
+    values=st.lists(EDGE_VALUES, min_size=1, max_size=30),
+)
+@example(seed=0, n=2, values=[1.0] * 6)
+@example(seed=1, n=1, values=[0.0, 3.0, 0.0, 1.0])
+@example(seed=2, n=3, values=[np.nan, 1.0, 0.5, np.nan])
+@example(seed=3, n=2, values=[np.inf, -np.inf, np.inf, 0.0])
+@settings(max_examples=200, deadline=None)
+def test_potentially_optimal_matches_per_class_loop_on_edge_values(seed, n, values):
+    rng = np.random.default_rng(seed)
+    ledger = PartitionLedger(n)
+    for value in values:
+        ledger.append(rng.uniform(0.0, 1.0, n), random_levels(rng, n), value)
+    assert_matches_per_class_loop(ledger)
+
+
+def test_potentially_optimal_matches_per_class_loop_along_a_direct_run(monkeypatch):
+    # every selection of a 4-D solve, where rows of one depth hold the same
+    # sides in different orders and so differ in half diagonal by an ulp
+    split_classes = []
+
+    def checked(ledger, epsilon_rel):
+        assert_matches_per_class_loop(ledger)
+        diags, depths = ledger.half_diagonals(), ledger.depths
+        split_classes.append(any(np.ptp(diags[depths == d]) > 0.0 for d in set(depths.tolist())))
+        return select_potentially_optimal(ledger, epsilon_rel)
+
+    monkeypatch.setattr(halo.solver, "select_potentially_optimal", checked)
+    cfg = SolverConfig(variant="direct", stop=StopRule(max_fun_evals=2000))
+    run(unit_handle(random_objective(0, 4), 4), cfg)
+    assert any(split_classes)

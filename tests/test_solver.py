@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from halo.solver import (
     STATUS_BUDGET,
     STATUS_ITER_LIMIT,
     STATUS_SOLVED,
+    STATUS_STALLED,
     SolverConfig,
     run,
 )
@@ -150,6 +152,29 @@ def test_iter_limit_status():
     trace = run(h, SolverConfig(stop=StopRule(max_fun_evals=10_000, max_iter=3)))
     assert trace.status == STATUS_ITER_LIMIT
     assert len(trace.iterations) == 3
+
+
+@pytest.mark.parametrize(
+    "fn, evals",
+    [
+        (lambda x: np.nan if x[0] > 0.7 else float(np.sum((x - 0.3) ** 2)), 5),
+        (lambda x: -np.inf if x[1] < 0.2 else float(np.sum((x - 0.3) ** 2)), 45),
+    ],
+    ids=["nan", "minus-inf"],
+)
+def test_direct_stalls_when_selection_chooses_nothing(fn, evals):
+    # a NaN incumbent or a -inf one makes every size class fail the
+    # potentially-optimal test; the default iteration limit would spin on
+    # empty iterations for minutes.  Dividing next to a -inf value still
+    # makes inf - inf slopes, which numpy flags as invalid; that is the open
+    # non-finite policy, not what this test checks.
+    start = time.perf_counter()
+    with np.errstate(invalid="ignore"):
+        trace = run(unit_handle(fn, 2), SolverConfig(variant="direct", stop=StopRule(max_fun_evals=1000)))
+    assert time.perf_counter() - start < 1.0
+    assert trace.status == STATUS_STALLED
+    assert trace.n_evals == evals
+    assert trace.iterations and all(it.selected for it in trace.iterations)
 
 
 def test_solved_check_fires_mid_iteration():
