@@ -27,7 +27,7 @@ from .metrics import (
 from .problems import CLASSICAL_FUNCTIONS, classical_problem
 from .schoen import schoen_generate
 from .serialize import fmt_float, read_json, write_csv, write_json, write_jsonl
-from .solver import SolverConfig, run
+from .solver import VARIANTS, SolverConfig, run
 
 
 def _solver_config(variant, budget, beta, tol, local_search) -> SolverConfig:
@@ -38,11 +38,18 @@ def _solver_config(variant, budget, beta, tol, local_search) -> SolverConfig:
         raise click.UsageError(str(err)) from None
 
 
+def _load_manifest(path) -> list[dict]:
+    try:
+        return load_manifest(path)
+    except ValueError as err:  # not JSON lines, not objects, or no records
+        raise click.UsageError(str(err)) from None
+
+
 def _resolve_problem(ref: str, n: int, seed: int):
     """A problem name ('branin', 'schoen') or a manifest ref 'path#index'."""
     path, _, index = ref.partition("#")
     if os.path.exists(path):
-        records = load_manifest(path)
+        records = _load_manifest(path)
         try:
             i = int(index) if index else 0
         except ValueError:
@@ -71,13 +78,13 @@ def main():
 
 @main.command()
 @click.option("--problem", required=True, help="Function name, 'schoen', or manifest ref path#index.")
-@click.option("--variant", type=click.Choice(["halo", "hlo", "direct"]), default="halo", show_default=True)
-@click.option("--budget", type=click.IntRange(min=1), default=30000, show_default=True, help="Maximum function evaluations.")
-@click.option("--beta", type=click.FloatRange(min=0), default=1e-4, show_default=True, help="Half-diagonal gate for local search.")
+@click.option("--variant", type=click.Choice(VARIANTS), default=SolverConfig.variant, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=StopRule.max_fun_evals, show_default=True, help="Maximum function evaluations.")
+@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for generated problems.")
 @click.option("--n", type=click.IntRange(min=1), default=2, show_default=True, help="Dimension for generic problems.")
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-4, show_default=True, help="Relative error tolerance.")
-@click.option("--local-search/--no-local-search", default=True, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=StopRule.rel_error_tol, show_default=True, help="Relative error tolerance.")
+@click.option("--local-search/--no-local-search", default=SolverConfig.local_search_enabled, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the evaluation trace (JSONL).")
 def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
     """Run one problem and print the outcome."""
@@ -104,16 +111,16 @@ def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
 
 @main.command()
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--variant", type=click.Choice(["halo", "hlo", "direct"]), default="halo", show_default=True)
-@click.option("--budget", type=click.IntRange(min=1), default=30000, show_default=True)
-@click.option("--beta", type=click.FloatRange(min=0), default=1e-4, show_default=True)
-@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=1e-4, show_default=True)
-@click.option("--local-search/--no-local-search", default=True, show_default=True)
+@click.option("--variant", type=click.Choice(VARIANTS), default=SolverConfig.variant, show_default=True)
+@click.option("--budget", type=click.IntRange(min=1), default=StopRule.max_fun_evals, show_default=True)
+@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True)
+@click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=StopRule.rel_error_tol, show_default=True)
+@click.option("--local-search/--no-local-search", default=SolverConfig.local_search_enabled, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Report document path (.json).")
 def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
     """Run a whole manifest and write the report (JSON plus flat CSV)."""
-    records = load_manifest(manifest_path)
+    records = _load_manifest(manifest_path)
     cfg = _solver_config(variant, budget, beta, tol, local_search)
     report = run_benchmark(records, cfg, parallelism=jobs)
     report.metadata["manifest"] = str(manifest_path)
@@ -128,12 +135,30 @@ def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
     click.echo(f"report={out} table={csv_path}")
 
 
-def _load_reports(paths):
+def _read_report(path, show_auoc: bool):
+    """The summary line, rows and ``gamma_max`` of one report document."""
+    doc = read_json(path)
+    agg = doc["aggregate"]
+    rows = [RunRecord(**{**r, "n": int(r["n"])}) for r in doc["rows"]]
+    if not rows:
+        raise ValueError("no rows")
+    line = (
+        f"{path}: problems={agg['problems']} percent_solved={fmt_float(agg['percent_solved'])} "
+        f"avg_evals_solved={'-' if agg['average_evals_solved'] is None else fmt_float(agg['average_evals_solved'])}"
+    )
+    line += f" mean_local_searches={fmt_float(sum(r.n_local_searches for r in rows) / len(rows))}"
+    if show_auoc:
+        line += f" auoc={fmt_float(agg['auoc'])}"
+    return line, rows, float(agg["gamma_max"])
+
+
+def _load_reports(paths, show_auoc: bool):
     reports = []
     for path in paths:
-        doc = read_json(path)
-        rows = [RunRecord(**{**r, "n": int(r["n"])}) for r in doc["rows"]]
-        reports.append((path, doc, rows))
+        try:
+            reports.append(_read_report(path, show_auoc))
+        except (ValueError, KeyError, TypeError) as err:  # not a report written by bench
+            raise click.UsageError(f"cannot read report {path}: {type(err).__name__}: {err}") from None
     return reports
 
 
@@ -144,28 +169,20 @@ def _load_reports(paths):
 @click.option("--importance-csv", type=click.Path(dir_okay=False), default=None)
 def report(inputs, show_auoc, oc_csv, importance_csv):
     """Summarize one or more benchmark reports."""
-    loaded = _load_reports(inputs)
+    loaded = _load_reports(inputs, show_auoc)
     all_rows = []
-    for path, doc, rows in loaded:
+    for line, rows, _ in loaded:
         all_rows.extend(rows)
-        agg = doc["aggregate"]
-        line = (
-            f"{path}: problems={agg['problems']} percent_solved={fmt_float(agg['percent_solved'])} "
-            f"avg_evals_solved={'-' if agg['average_evals_solved'] is None else fmt_float(agg['average_evals_solved'])}"
-        )
-        line += f" mean_local_searches={fmt_float(sum(r.n_local_searches for r in rows) / len(rows))}"
-        if show_auoc:
-            line += f" auoc={fmt_float(agg['auoc'])}"
         click.echo(line)
     if oc_csv:
-        gamma_max = max(float(doc["aggregate"]["gamma_max"]) for _, doc, _ in loaded)
+        gamma_max = max(g for _, _, g in loaded)
         curve = step_curve(all_rows)
         grid = reporting_grid(all_rows, gamma_max)
         write_csv(oc_csv, ("gamma", "c"), [(g, curve.value(g)) for g in grid])
         click.echo(f"oc={oc_csv}")
     if importance_csv:
         rows_out = []
-        for _, _, rows in loaded:
+        for _, rows, _ in loaded:
             for r in rows:
                 if r.importance is None:
                     continue

@@ -91,23 +91,16 @@ def normalize_point(p, domain: BoxDomain) -> np.ndarray:
 
 
 def denormalize_point(q, domain: BoxDomain) -> np.ndarray:
-    """Map a point in [0, 1]^N back to problem units."""
+    """Map a point in [0, 1]^N back to problem units.
+
+    Raises DomainViolationError if ``q`` has the wrong shape or falls
+    outside the unit cube.
+    """
     q = np.asarray(q, dtype=float)
     if q.shape != domain.lower.shape:
         raise DomainViolationError(f"point has shape {q.shape}, domain is {domain.dim}-dimensional")
-    return denormalize_points(q, domain)
-
-
-def denormalize_points(q, domain: BoxDomain) -> np.ndarray:
-    """Map one point, or each row of a ``(k, N)`` block, from [0, 1]^N to problem units.
-
-    The map is elementwise, so every row gets the bits it would get alone.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.ndim > 2 or q.shape[-1:] != domain.lower.shape:
-        raise DomainViolationError(f"points have shape {q.shape}, domain is {domain.dim}-dimensional")
     if np.any(q < 0.0) or np.any(q > 1.0):
-        raise DomainViolationError(f"normalized points {q} outside the unit cube")
+        raise DomainViolationError(f"normalized point {q} outside the unit cube")
     return domain.lower + q * domain.widths
 
 
@@ -285,6 +278,10 @@ class PartitionLedger:
         return self._view(self._slope_norms)
 
 
+# Callback told of each evaluation: the normalized point and its value.
+OnEval = Callable[[np.ndarray, float], None]
+
+
 @dataclass
 class ObjectiveHandle:
     """Opaque evaluator of the objective over a box domain.
@@ -311,11 +308,16 @@ class ObjectiveHandle:
         return value
 
     def to_problem_units(self, q) -> np.ndarray:
-        """Map a ``(k, N)`` block of normalized points to problem units.
+        """Map one normalized point, or each row of a ``(k, N)`` block, to problem units.
 
-        Clips ulp-level drift at the faces first.
+        Clips ulp-level drift at the faces first, so no range check is
+        needed.  The map is elementwise, so every row gets the bits it
+        would get alone.
         """
-        return denormalize_points(np.clip(np.asarray(q, dtype=float), 0.0, 1.0), self.domain)
+        q = np.asarray(q, dtype=float)
+        if q.ndim > 2 or q.shape[-1:] != self.domain.lower.shape:
+            raise DomainViolationError(f"points have shape {q.shape}, domain is {self.domain.dim}-dimensional")
+        return self.domain.lower + np.clip(q, 0.0, 1.0) * self.domain.widths
 
     def eval_normalized(self, q) -> float:
         """Evaluate at one normalized point, mapped as a one-row block."""

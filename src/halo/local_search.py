@@ -16,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import HALF_SIDES, ObjectiveHandle, PartitionLedger
-from .partitioning import OnEval
+from .geometry import HALF_SIDES, ObjectiveHandle, OnEval, PartitionLedger
 
 RUN = "run"
 SELECT_FOR_DIVISION = "select_for_division"

@@ -114,7 +114,14 @@ def write_manifest(path, records: list[dict]) -> None:
 
 
 def load_manifest(path) -> list[dict]:
-    records = read_jsonl(path)
+    """Read a manifest's records; a ValueError naming ``path`` unless it holds one or more JSON objects."""
+    try:
+        records = read_jsonl(path)
+    except ValueError as err:  # not UTF-8, or a line that is not JSON
+        raise ValueError(f"manifest {path} is not JSON lines: {err}") from None
     if not records:
         raise ValueError(f"empty manifest: {path}")
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            raise ValueError(f"manifest {path} record #{i} is not a JSON object")
     return records

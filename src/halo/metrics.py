@@ -9,7 +9,6 @@ into one nonnegative vector per problem that sums to one.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
@@ -143,9 +142,10 @@ def _run_one(record: dict, cfg: SolverConfig) -> RunRecord:
         handle = problem.make_handle()
         trace = run(handle, cfg)
     except Exception as exc:  # a failed problem must not sink the batch
+        n = record.get("n")
         return RunRecord(
             problem=record.get("name", "?"),
-            n=int(record.get("n", 0)),
+            n=n if isinstance(n, int) else 0,
             variant=cfg.variant,
             solved=False,
             fevals=0 if handle is None else handle.eval_count,
@@ -167,6 +167,9 @@ def run_benchmark(
     if not manifest:
         raise ValueError("empty manifest")
     if parallelism > 1:
+        # imported here: it loads multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(_run_one, manifest, [cfg] * len(manifest)))
     else:

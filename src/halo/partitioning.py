@@ -19,13 +19,11 @@ block of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .geometry import HALF_SIDES, ObjectiveHandle, PartitionLedger
-
-OnEval = Callable[[np.ndarray, float], None]
+from .geometry import HALF_SIDES, ObjectiveHandle, OnEval, PartitionLedger
 
 
 @dataclass

@@ -91,7 +91,10 @@ def _csv_cell(value: Any) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return fmt_float(value)
-    return str(value)
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):  # RFC 4180 quoting, only where a cell needs it
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:

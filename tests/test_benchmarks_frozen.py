@@ -1,8 +1,10 @@
 """The committed benchmark manifests must replay and regenerate exactly."""
 
-import importlib.util
 import pathlib
 
+from click.testing import CliRunner
+
+from halo.cli import main
 from halo.manifest import classical_manifest, load_manifest, problem_from_record, schoen_manifest
 from halo.serialize import dumps
 
@@ -34,14 +36,15 @@ def test_manifests_replay():
             assert problem.n == record["n"]
 
 
-def test_make_benchmarks_script_runs(tmp_path, monkeypatch, capsys):
-    # run the script into tmp_path: the committed files must stay untouched
-    spec = importlib.util.spec_from_file_location("make_benchmarks", ROOT / "scripts" / "make_benchmarks.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(script, "BENCH_DIR", tmp_path)
-    script.main()
-    out = capsys.readouterr().out
-    assert "30 problems" in out and "20 problems" in out
-    for committed in (SCHOEN30, CLASSICAL20):
-        assert (tmp_path / committed.name).read_bytes() == committed.read_bytes()
+def test_gen_recipe_rebuilds_the_frozen_suites(tmp_path):
+    # the README recipe, run into tmp_path: the committed files must stay untouched
+    def gen(*args):
+        result = CliRunner().invoke(main, ["gen", *args], catch_exceptions=False)
+        assert result.exit_code == 0, result.output
+
+    gen("--family", "schoen", "--n", "2", "--count", "15", "--seed", "0", "--out", str(tmp_path / "s2.jsonl"))
+    gen("--family", "schoen", "--n", "3", "--count", "15", "--seed", "15", "--out", str(tmp_path / "s3.jsonl"))
+    gen("--family", "classical", "--n", "2", "--count", "20", "--seed", "7", "--out", str(tmp_path / CLASSICAL20.name))
+    schoen30 = (tmp_path / "s2.jsonl").read_bytes() + (tmp_path / "s3.jsonl").read_bytes()
+    assert schoen30 == SCHOEN30.read_bytes()
+    assert (tmp_path / CLASSICAL20.name).read_bytes() == CLASSICAL20.read_bytes()

@@ -10,14 +10,29 @@ from halo.serialize import read_json, read_jsonl
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benchmarks"
 
-# records that load as JSON but describe no problem; "{bad}" in an argument
-# stands for the path of a manifest holding them, written outside tmp_path
+# records that load as JSON but describe no problem
 BAD_RECORDS = [
     {"name": "rosenbrock-n1", "family": "classical", "function": "rosenbrock", "n": 1},
     {"name": "nope", "family": "nope", "n": 2},
     {"name": "no-function", "family": "classical", "n": 2},
     {"name": "n-null", "family": "classical", "function": "sphere", "n": None},
 ]
+REPORT_ROW = {"problem": "p", "n": 2, "variant": "halo", "solved": True, "fevals": 10,
+              "best_value": 0.0, "rel_error": 0.0}
+REPORT_AGGREGATE = {"problems": 1, "percent_solved": 100.0, "average_evals_solved": 10.0,
+                    "auoc": 0.5, "gamma_max": 20}
+# files that are not the manifest or report they stand in for; "{name}" in an
+# argument stands for the path of BAD_FILES[name], written outside tmp_path
+BAD_FILES = {
+    "bad.jsonl": "".join(json.dumps(r) + "\n" for r in BAD_RECORDS),
+    "not-json.jsonl": json.dumps(BAD_RECORDS[0]) + "\nnot json\n",
+    "not-object.jsonl": "[1, 2]\n",
+    "empty.jsonl": "\n",
+    "not-json.json": "{",
+    "no-rows.json": json.dumps({"aggregate": REPORT_AGGREGATE}),
+    "empty-rows.json": json.dumps({"aggregate": REPORT_AGGREGATE, "rows": []}),
+    "no-aggregate.json": json.dumps({"rows": [REPORT_ROW]}),
+}
 
 
 def invoke(*args):
@@ -144,24 +159,37 @@ def test_trace_floats_are_17_digit(tmp_path):
         ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--beta", "nan"),
         ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--tol", "nan"),
         ("solve", "--problem", "rosenbrock", "--n", "1"),
-        ("solve", "--problem", "{bad}#0"),
-        ("solve", "--problem", "{bad}#1"),
-        ("solve", "--problem", "{bad}#2"),
-        ("solve", "--problem", "{bad}#3"),
+        ("solve", "--problem", "{bad.jsonl}#0"),
+        ("solve", "--problem", "{bad.jsonl}#1"),
+        ("solve", "--problem", "{bad.jsonl}#2"),
+        ("solve", "--problem", "{bad.jsonl}#3"),
+        ("solve", "--problem", "{not-json.jsonl}#0"),
+        ("solve", "--problem", "{not-object.jsonl}#0"),
+        ("solve", "--problem", "{empty.jsonl}#0"),
+        ("bench", "--manifest", "{not-json.jsonl}"),
+        ("bench", "--manifest", "{not-object.jsonl}"),
+        ("bench", "--manifest", "{empty.jsonl}"),
+        ("report", "--in", "{not-json.json}"),
+        ("report", "--in", "{no-rows.json}"),
+        ("report", "--in", "{empty-rows.json}"),
+        ("report", "--in", "{no-aggregate.json}"),
     ],
     ids=["gen-count-negative", "gen-count-zero", "gen-n-zero", "solve-index-not-int",
          "solve-n-zero", "solve-budget-zero", "bench-budget-zero", "bench-jobs-zero",
          "solve-beta-negative", "solve-tol-zero", "bench-tol-negative", "solve-seed-negative",
          "gen-seed-negative", "solve-beta-nan", "solve-tol-nan", "bench-beta-nan", "bench-tol-nan",
          "solve-rosenbrock-n1", "solve-manifest-rosenbrock-n1", "solve-manifest-unknown-family",
-         "solve-manifest-no-function", "solve-manifest-n-null"],
+         "solve-manifest-no-function", "solve-manifest-n-null", "solve-manifest-not-json",
+         "solve-manifest-not-object", "solve-manifest-empty", "bench-manifest-not-json",
+         "bench-manifest-not-object", "bench-manifest-empty", "report-not-json", "report-no-rows",
+         "report-empty-rows", "report-no-aggregate"],
 )
 def test_bad_input_is_a_usage_error_and_writes_nothing(tmp_path, tmp_path_factory, args):
-    if any("{bad}" in a for a in args):
-        bad = tmp_path_factory.mktemp("manifest") / "bad.jsonl"
-        bad.write_text("".join(json.dumps(r) + "\n" for r in BAD_RECORDS))
-        args = [a.replace("{bad}", str(bad)) for a in args]
-    out = tmp_path / "out.json"
-    result = CliRunner().invoke(main, [*args, "--out", str(out)])
+    inputs = tmp_path_factory.mktemp("inputs")
+    for name, text in BAD_FILES.items():
+        (inputs / name).write_text(text)
+        args = [a.replace(f"{{{name}}}", str(inputs / name)) for a in args]
+    out_option = "--oc-csv" if args[0] == "report" else "--out"
+    result = CliRunner().invoke(main, [*args, out_option, str(tmp_path / "out.json")])
     assert result.exit_code == 2, result.output
     assert list(tmp_path.iterdir()) == []

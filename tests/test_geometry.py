@@ -137,6 +137,18 @@ def test_eval_normalized_denormalizes():
     assert np.allclose(seen[0], [15.0])
 
 
+def test_to_problem_units_clips_to_the_faces_and_checks_the_shape():
+    h = ObjectiveHandle(lambda x: 0.0, BoxDomain([10.0, -1.0], [20.0, 1.0]))
+    block = np.array([[-1e-17, 0.5], [1.0 + 1e-15, 1.0]])
+    assert np.array_equal(h.to_problem_units(block), [[10.0, 0.0], [20.0, 1.0]])
+    for bad in ([0.5, 0.5, 0.5], [[[0.5, 0.5]]]):
+        with pytest.raises(DomainViolationError):
+            h.to_problem_units(bad)
+    with pytest.raises(DomainViolationError):
+        h.eval_normalized([0.5, 0.5, 0.5])
+    assert h.eval_count == 0
+
+
 def test_objective_error_wraps_and_does_not_count():
     def bad(x):
         raise RuntimeError("boom")

@@ -53,6 +53,13 @@ def test_tampered_anchor_count_detected():
         problem_from_record(record)
 
 
+def test_load_rejects_a_record_that_is_not_an_object(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"family": "schoen", "n": 2, "seed": 0}\n[1, 2]\n')
+    with pytest.raises(ValueError, match=r"m\.jsonl record #1 is not a JSON object"):
+        load_manifest(path)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         problem_from_record({"family": "mystery", "n": 2})

@@ -139,11 +139,15 @@ def test_failed_problem_recorded_not_raised():
     manifest = schoen_manifest(n=2, count=2, base_seed=0)
     manifest[1] = dict(manifest[1])
     manifest[1]["known_optimum"] += 1.0  # integrity check will reject this row
+    # no integer dimension to report: the row says n=0
+    manifest += [{"name": "bad-n", "family": "classical", "function": "sphere", "n": n} for n in (None, "two", [2])]
     cfg = SolverConfig(stop=StopRule(max_fun_evals=200))
     report = run_benchmark(manifest, cfg)
     assert report.rows[1].error is not None
     assert not report.rows[1].solved
     assert report.rows[0].error is None
+    for row in report.rows[2:]:
+        assert row.error is not None and (row.problem, row.n) == ("bad-n", 0)
 
 
 def test_aggregation_order_independent():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -41,8 +42,15 @@ def test_jsonl_round_trip(tmp_path):
 
 def test_csv_cells(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ("a", "b", "c"), [(1, True, 1 / 3), (2, None, float("nan"))])
-    lines = path.read_text().splitlines()
+    names = ["a,b", 'q"x', "l\nm", "c\rr", " plain "]
+    write_csv(path, ("a", "b", "c"), [(1, True, 1 / 3), (2, None, float("nan"))] + [(s, 3, 0.5) for s in names])
+    lines = path.read_text().split("\n")
     assert lines[0] == "a,b,c"
     assert lines[1].startswith("1,true,0.333333")
     assert lines[2] == "2,,null"
+    assert lines[3] == '"a,b",3,0.5'
+    assert lines[4] == '"q""x",3,0.5'
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [row[0] for row in rows[3:]] == names
+    assert all(len(row) == 3 for row in rows)

@@ -285,11 +285,13 @@ def test_objective_error_mid_block_keeps_the_completed_divisions():
 
 def test_run_imports_no_module_beyond_import_halo():
     # a lazily imported module, such as numpy.ma behind np.unique, stays
-    # resident after the first solve that needs it
+    # resident after the first solve that needs it; and only a benchmark
+    # with more than one job needs multiprocessing
     code = """
 import sys
 import numpy as np
 import halo
+print("multiprocessing" in sys.modules)
 before = set(sys.modules)
 runs = []
 for variant in halo.solver.VARIANTS:
@@ -305,7 +307,8 @@ print(sorted(set(sys.modules) - before))
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=120)
-    runs, new_modules = out.stdout.splitlines()
+    multiprocessing_loaded, runs, new_modules = out.stdout.splitlines()
+    assert multiprocessing_loaded == "False"
     # the halo and hlo runs start local searches
     assert runs == "[('budget_exhausted', True), ('budget_exhausted', True), ('budget_exhausted', False)]"
     assert new_modules == "[]"
