@@ -32,7 +32,6 @@ from .partitioning import (
     SamplePlan,
     divide_partition,
     init_root,
-    sample_partition,
 )
 from .problems import TestProblem, classical_problem, classical_suite, shift_minimizer
 from .schoen import schoen_generate
@@ -53,7 +52,6 @@ __all__ = [
     "normalize_point",
     "denormalize_point",
     "init_root",
-    "sample_partition",
     "divide_partition",
     "SamplePlan",
     "global_slope_max",

@@ -48,7 +48,7 @@ def _load_manifest(path) -> list[dict]:
 def _resolve_problem(ref: str, n: int, seed: int):
     """A problem name ('branin', 'schoen') or a manifest ref 'path#index'."""
     path, _, index = ref.partition("#")
-    if os.path.exists(path):
+    if os.path.isfile(path):
         records = _load_manifest(path)
         try:
             i = int(index) if index else 0
@@ -142,6 +142,11 @@ def _read_report(path, show_auoc: bool):
     rows = [RunRecord(**{**r, "n": int(r["n"])}) for r in doc["rows"]]
     if not rows:
         raise ValueError("no rows")
+    for r in rows:
+        if r.importance is not None and not (
+            isinstance(r.importance, list) and all(isinstance(v, (int, float)) for v in r.importance)
+        ):
+            raise ValueError(f"row {r.problem}: importance must be null or a list of numbers")
     line = (
         f"{path}: problems={agg['problems']} percent_solved={fmt_float(agg['percent_solved'])} "
         f"avg_evals_solved={'-' if agg['average_evals_solved'] is None else fmt_float(agg['average_evals_solved'])}"

@@ -109,11 +109,12 @@ class PartitionLedger:
 
     The size of a row is its level vector: side ``j`` has been trisected
     ``levels[j]`` times.  Only longest sides are ever cut, so the levels of
-    a row lie in ``{k, k + 1}`` for some ``k``; ``append`` rejects any other
-    row and ``divide`` cuts nothing else.  Rows of equal depth have the
-    same sides up to order, and a greater depth means a strictly smaller
-    box.  Slope rows hold nonnegative absolute difference quotients along
-    each axis, in objective units per normalized length.
+    a row lie in ``{k, k + 1}`` for some ``k``.  ``append`` rejects any
+    other row; the rows ``divide`` stores come from ``divide_partition``,
+    and the property tests check that they keep this form.  Rows of equal
+    depth have the same sides up to order, and a greater depth means a
+    strictly smaller box.  Slope rows hold nonnegative absolute difference
+    quotients along each axis, in objective units per normalized length.
 
     Three columns are cached when a row is written: the half diagonal
     ``norm(half_sides)``, the depth ``levels.sum()`` and the slope norm
@@ -221,51 +222,21 @@ class PartitionLedger:
         self._count += 1
         return i
 
-    def divide(self, pids, counts, order, centers, values, parent_slopes, child_slopes) -> list[int]:
-        """Trisect a block of partitions and append their children.
+    def divide(self, pids, centers, values, levels, slopes) -> list[int]:
+        """Rewrite rows ``pids`` and append one child row per row of ``centers``.
 
-        Division ``i`` trisects partition ``pids[i]`` along its ``counts[i]``
-        entries of ``order`` (each division's cuts follow the previous
-        division's).  Cuts are made one coordinate at a time: the parent
-        keeps the middle third (its level on that side rises by one, staying
-        put at MAX_LEVEL, where the half side is already 0.0) and the two
-        outer thirds of cut ``j`` of the block become rows ``2j`` and
-        ``2j + 1`` of ``centers``, with the levels their parent has right
-        after that cut.  No id may repeat, and each division must cut
-        distinct longest sides of its parent.  The parents get the rows of
-        ``parent_slopes``, the children ``child_slopes``.  Returns the new
-        ids in row order.
+        ``levels`` and ``slopes`` are stacked parents first: their first
+        ``len(pids)`` rows replace those of ``pids``, the rest go to the
+        children, whose centers and values are ``centers`` and ``values``.
+        ``divide_partition`` computes every row.  Returns the new ids in
+        row order.
         """
-        pids = np.array(pids, dtype=np.intp, ndmin=1)
-        counts = np.array(counts, dtype=np.intp, ndmin=1)
-        order = np.array(order, dtype=np.intp, ndmin=1)
-        m, k = pids.size, order.size
-        if m and not 0 <= pids.min() <= pids.max() < self._count:
-            raise IndexError(f"no partition with id among {pids.tolist()}")
-        if len(set(pids.tolist())) != m or counts.size != m or (counts < 1).any() or counts.sum() != k:
-            raise ValueError(f"{pids.tolist()} with cut counts {counts.tolist()} is not a block of divisions")
-        rows = self._levels[pids]
-        owner = np.arange(m).repeat(counts)
-        cuts = np.zeros((k, self._dim), dtype=np.int16)
-        cuts[np.arange(k), order] = 1
-        # cuts made so far within each division: a block-wide running sum
-        # minus its value before the division's first cut
-        done = cuts.cumsum(axis=0)
-        first_cut = counts.cumsum() - counts
-        stages = done - (done[first_cut] - cuts[first_cut])[owner]
-        if stages.max(initial=0) > 1 or (rows[owner, order] != rows.min(axis=1)[owner]).any():
-            raise ValueError(f"cuts {order.tolist()} are not distinct longest sides of partitions {pids.tolist()}")
-        stages = np.minimum(rows[owner] + stages, MAX_LEVEL)
-        first = self._reserve(2 * k)
-        end = first + 2 * k
+        first = self._reserve(len(centers))
+        end = first + len(centers)
         # rows past the count first: a rejected call leaves the ledger as it was
         self._centers[first:end] = centers
         self._values[first:end] = values
-        self._write(
-            np.concatenate((pids, np.arange(first, end))),
-            np.concatenate((stages[first_cut + counts - 1], stages.repeat(2, axis=0))),
-            np.concatenate((parent_slopes, child_slopes)),
-        )
+        self._write(np.concatenate((pids, np.arange(first, end))), levels, slopes)
         self._count = end
         return list(range(first, end))
 

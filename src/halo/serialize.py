@@ -64,12 +64,16 @@ def write_jsonl(path, records: Iterable[dict]) -> None:
 
 
 def read_jsonl(path) -> list[dict]:
+    """One record per non-blank line; a bad line raises a ValueError naming its line number."""
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
+        for number, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
                 records.append(json.loads(line))
+            except json.JSONDecodeError as err:
+                raise ValueError(f"line {number} column {err.colno}: {err.msg}") from None
     return records
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halo.geometry import BoxDomain, ObjectiveHandle, PartitionLedger
+from halo.partitioning import evaluate_samples, plan_samples
 
 def make_handle(fn, lower, upper, known_optimum=None):
     return ObjectiveHandle(
@@ -15,6 +16,23 @@ def make_handle(fn, lower, upper, known_optimum=None):
 
 def unit_handle(fn, n, known_optimum=None):
     return make_handle(fn, np.zeros(n), np.ones(n), known_optimum=known_optimum)
+
+
+def sampled_plan(ledger, pids, obj):
+    """The plan of ``pids``, evaluated whole."""
+    plan = plan_samples(ledger, pids)
+    evaluate_samples(plan, obj)
+    return plan
+
+
+def cut_order(ledger, before, children):
+    """The coordinate of each cut of one division, read from its children's level rows.
+
+    ``before`` is the parent's level row before the division, and rows
+    ``2j`` and ``2j + 1`` of ``children`` are the children of cut ``j``.
+    """
+    after = np.vstack((before, ledger.levels[children[0::2]]))
+    return np.argmax(np.diff(after, axis=0), axis=1).tolist()
 
 
 def random_levels(rng, n, max_level=3):

@@ -18,7 +18,7 @@ from halo.lipschitz import blend, blend_constants, global_slope_max
 from halo.manifest import load_manifest
 from halo.metrics import auoc, run_benchmark, step_curve, variable_importance
 from halo.metrics import RunRecord
-from halo.partitioning import divide_partition, init_root, sample_partition
+from halo.partitioning import divide_partition, evaluate_samples, init_root, plan_samples
 from halo.problems import classical_problem, rastrigin, shift_minimizer
 from halo.selection import select_halo, select_potentially_optimal
 from halo.solver import SolverConfig, run
@@ -93,11 +93,12 @@ def test_criterion_2_affine_slope_exactness():
         all_coords_divided = False
         for _ in range(15):
             pid = int(np.argmax(ledger.half_diagonals()))
-            plan = sample_partition(ledger, pid, h)
+            plan = plan_samples(ledger, pid)
+            evaluate_samples(plan, h)
             divide_partition(ledger, plan)
-            for coord in plan.coords:
+            for coord in plan.coords.tolist():
                 assert abs(ledger.slopes[pid][coord] - abs(a[coord])) <= 1e-12
-            if set(plan.coords) == {0, 1, 2}:
+            if set(plan.coords.tolist()) == {0, 1, 2}:
                 all_coords_divided = True
             if all_coords_divided:
                 assert abs(global_slope_max(ledger) - np.linalg.norm(a)) <= 1e-9

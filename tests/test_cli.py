@@ -193,3 +193,21 @@ def test_bad_input_is_a_usage_error_and_writes_nothing(tmp_path, tmp_path_factor
     result = CliRunner().invoke(main, [*args, out_option, str(tmp_path / "out.json")])
     assert result.exit_code == 2, result.output
     assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_manifest_ref_to_a_directory_is_a_usage_error(tmp_path):
+    result = CliRunner().invoke(main, ["solve", "--problem", f"{tmp_path}#0"])
+    assert result.exit_code == 2, result.output
+    assert "unknown problem" in result.output
+
+
+def test_report_rejects_an_importance_that_is_not_a_list_before_writing(tmp_path, tmp_path_factory):
+    report_path = tmp_path_factory.mktemp("inputs") / "report.json"
+    row = {**REPORT_ROW, "importance": 5}
+    report_path.write_text(json.dumps({"aggregate": REPORT_AGGREGATE, "rows": [row]}))
+    oc_csv, imp_csv = tmp_path / "oc.csv", tmp_path / "imp.csv"
+    result = CliRunner().invoke(main, ["report", "--in", str(report_path),
+                                       "--oc-csv", str(oc_csv), "--importance-csv", str(imp_csv)])
+    assert result.exit_code == 2, result.output
+    assert "importance" in result.output
+    assert not oc_csv.exists() and not imp_csv.exists()

@@ -15,6 +15,7 @@ from halo.geometry import (
     denormalize_point,
     normalize_point,
 )
+from halo.partitioning import divide_partition, plan_samples
 
 from conftest import ledger_bytes, tiles_cube
 
@@ -212,10 +213,12 @@ def test_ledger_rejects_negative_slopes():
     with pytest.raises(ValueError):
         ledger.append([0.5], [0], 1.0, [-0.5])
     ledger.append([0.5], [0], 1.0, [2.0])
-    with pytest.raises(ValueError):
-        ledger.divide([0], [1], [0], [[5 / 6], [1 / 6]], [0.0, 0.0], [[-1.0]], [[0.0], [0.0]])
-    with pytest.raises(ValueError):
-        ledger.divide([0], [1], [0], [[5 / 6], [1 / 6]], [0.0, 0.0], [[0.0]], [[0.0], [-1.0]])
+    centers, values, levels = np.array([[5 / 6], [1 / 6]]), np.zeros(2), np.ones((3, 1), dtype=int)
+    for bad_row in (0, 2):  # the parent's row, then a child's
+        slopes = np.zeros((3, 1))
+        slopes[bad_row] = -1.0
+        with pytest.raises(ValueError):
+            ledger.divide([0], centers, values, levels, slopes)
     assert len(ledger) == 1
     assert ledger.levels.tolist() == [[0]] and ledger.slopes.tolist() == [[2.0]]
     assert ledger.slope_norms().tolist() == [2.0]
@@ -246,31 +249,24 @@ def test_ledger_rejects_unreachable_levels():
     assert ledger.depths.tolist() == [7]
 
 
-def divide_args(ledger, pids, orders, value=0.0):
-    """Arguments for ``ledger.divide`` with dummy centers and zero slopes.
-
-    ``orders`` holds the cut coordinates of each partition in ``pids``.
-    """
-    k, n = 2 * sum(len(o) for o in orders), ledger.dim
-    centers = np.repeat(ledger.centers[pids], [2 * len(o) for o in orders], axis=0)
-    return (pids, [len(o) for o in orders], [c for o in orders for c in o], centers,
-            np.full(k, value), np.zeros((len(pids), n)), np.zeros((k, n)))
+def evaluated_plan(ledger, pids, values):
+    """The plan ``plan_samples`` places for ``pids``, with objective ``values`` given by hand."""
+    plan = plan_samples(ledger, pids)
+    plan.values = [float(v) for v in values]
+    return plan
 
 
 def test_trisect_cuts_only_longest_sides_and_refreshes_caches():
     ledger = PartitionLedger(3)
-    ledger.append(np.full(3, 0.5), [0, 0, 0], 0.0)
-    assert ledger.divide(*divide_args(ledger, [0], [[1, 2]], value=4.0)) == [1, 2, 3, 4]
-    assert ledger.levels.tolist() == [[0, 1, 1], [0, 1, 0], [0, 1, 0], [0, 1, 1], [0, 1, 1]]
-    assert ledger.depths.tolist() == [2, 1, 1, 2, 2]
-    assert ledger.values.tolist() == [0.0, 4.0, 4.0, 4.0, 4.0]
+    ledger.append(np.full(3, 0.5), [1, 0, 0], 0.0)
+    # sides 1 and 2 are the longest; side 2 holds the lower value, so it is cut first
+    plan = evaluated_plan(ledger, [0], [4.0, 5.0, 1.0, 6.0])
+    assert divide_partition(ledger, plan) == [1, 2, 3, 4]
+    assert ledger.levels.tolist() == [[1, 1, 1], [1, 0, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]]
+    assert ledger.depths.tolist() == [3, 2, 2, 3, 3]
+    assert ledger.values.tolist() == [0.0, 1.0, 6.0, 4.0, 5.0]
+    assert ledger.centers[1:].tobytes() == plan.points[[2, 3, 0, 1]].tobytes()
     assert ledger.half_diagonals().tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
-    for order in ([1], [0, 0], [0, 1]):  # not longest sides, or a repeat
-        with pytest.raises(ValueError):
-            ledger.divide(*divide_args(ledger, [0], [order]))
-    with pytest.raises(IndexError):
-        ledger.divide([5], *divide_args(ledger, [0], [[0]])[1:])
-    assert len(ledger) == 5
 
 
 def test_block_divide_appends_children_in_block_order():
@@ -278,36 +274,25 @@ def test_block_divide_appends_children_in_block_order():
     ledger.append([0.5, 0.5], [0, 1], 0.0)
     ledger.append([0.5, 0.2], [1, 1], 1.0)
     # partition 1 cuts 1 then 0, partition 0 its one longest side 0
-    ids = ledger.divide(*divide_args(ledger, [1, 0], [[1, 0], [0]], value=3.0))
+    ids = divide_partition(ledger, evaluated_plan(ledger, [1, 0], [3.0, 3.0, 2.0, 2.0, 3.0, 3.0]))
     assert ids == [2, 3, 4, 5, 6, 7]
     assert ledger.levels.tolist() == [
         [1, 1], [2, 2],
         [1, 2], [1, 2], [2, 2], [2, 2],  # the children of 1, after each cut
         [1, 1], [1, 1],  # the children of 0
     ]
-    assert ledger.centers[2:6].tolist() == [[0.5, 0.2]] * 4
+    delta = 2.0 * HALF_SIDES[1] / 3.0
+    assert ledger.centers[2:4].tolist() == [[0.5, 0.2 + delta], [0.5, 0.2 - delta]]
+    assert ledger.values.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
     assert ledger.half_diagonals().tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
 
 
-def test_block_divide_rejects_a_bad_block_and_changes_nothing():
+def test_divide_partition_below_float_resolution_raises_and_writes_nothing():
     ledger = PartitionLedger(2)
-    ledger.append([0.5, 0.5], [0, 1], 0.0, [1.0, 2.0])
-    ledger.append([0.5, 0.2], [1, 1], 1.0, [3.0, 4.0])
+    ledger.append([0.5, 0.5], [0, 0], 0.0)
+    ledger.append([0.5, 0.5], [MAX_LEVEL, MAX_LEVEL], 0.0)
     before = ledger_bytes(ledger)
-    bad_blocks = (
-        ([0, 0], [[0], [0]]),  # a repeated id
-        ([1, 0], [[1], [1]]),  # side 1 of partition 0 is not a longest side
-        ([1, 0], [[0, 0], [0]]),  # a repeated cut within one division
-    )
-    for pids, orders in bad_blocks:
-        with pytest.raises(ValueError):
-            ledger.divide(*divide_args(ledger, pids, orders))
-        assert len(ledger) == 2 and ledger_bytes(ledger) == before
-
-
-def test_trisect_stops_at_the_underflow_level():
-    ledger = PartitionLedger(1)
-    ledger.append([0.5], [MAX_LEVEL], 0.0)
-    ledger.divide(*divide_args(ledger, [0], [[0]]))
-    assert ledger.levels.tolist() == [[MAX_LEVEL]] * 3
-    assert ledger.half_diagonals().tolist() == [0.0] * 3
+    # the division of partition 0 completes too, but nothing of the block is written
+    with pytest.raises(ZeroDivisionError):
+        divide_partition(ledger, evaluated_plan(ledger, [0, 1], np.zeros(8)))
+    assert len(ledger) == 2 and ledger_bytes(ledger) == before

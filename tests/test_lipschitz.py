@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halo.geometry import PartitionLedger
+from halo.geometry import HALF_SIDES, PartitionLedger
 from halo.lipschitz import blend, blend_constants, global_slope_max, lower_bounds
-from halo.partitioning import divide_partition, init_root, sample_partition
+from halo.partitioning import divide_partition, init_root
 
-from conftest import unit_handle
+from conftest import cut_order, sampled_plan, unit_handle
 from oracles import blend_local_constant, central_difference
 
 
 def divide_once(h, ledger, pid):
-    plan = sample_partition(ledger, pid, h)
-    return plan, divide_partition(ledger, plan)
+    """Divide ``pid``; returns its cut order, read from the ledger rows, and the new ids."""
+    before = ledger.levels[pid].copy()
+    children = divide_partition(ledger, sampled_plan(ledger, pid, h))
+    return cut_order(ledger, before, children), children
 
 
 def test_linear_slope_exact_1d():
@@ -49,10 +51,10 @@ def test_children_inherit_pre_update_rows():
     ledger = PartitionLedger(2)
     # the root, carrying stale slope information
     ledger.append([0.5, 0.5], [0, 0], h.eval_normalized([0.5, 0.5]), [7.0, 9.0])
-    plan, children = divide_once(h, ledger, 0)
+    order, children = divide_once(h, ledger, 0)
     # parent refreshed by central differences on both coordinates
     assert np.allclose(ledger.slopes[0], [1.0, 2.0], atol=1e-12)
-    for cid, divided_coord in zip(children, np.repeat(plan.coords, 2)):
+    for cid, divided_coord in zip(children, np.repeat(order, 2)):
         other = 1 - divided_coord
         # the untouched coordinate keeps the pre-division value, not the refresh
         assert ledger.slopes[cid][other] == {0: 7.0, 1: 9.0}[other]
@@ -64,9 +66,9 @@ def test_child_slope_below_float_resolution_uses_cut_axis():
     h = unit_handle(lambda x: float(x[0] + x[1]), 2)
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [36, 36], h.eval_normalized([0.5, 0.5]), [7.0, 9.0])
-    plan, children = divide_once(h, ledger, 0)
-    assert all(np.array_equal(p, ledger.centers[0]) for p in plan.points)
-    assert plan.coords == [0, 1]
+    order, children = divide_once(h, ledger, 0)
+    assert all(np.array_equal(c, ledger.centers[0]) for c in ledger.centers[children])
+    assert order == [0, 1]
     assert ledger.slopes[children].tolist() == [[0.0, 9.0]] * 2 + [[7.0, 0.0]] * 2
 
 
@@ -77,15 +79,16 @@ def test_division_slopes_match_scalar_loop():
     for pid in (0, 1, 0, 4):
         before = ledger.slopes[pid].copy()
         parent_value = float(ledger.values[pid])
-        plan, children = divide_once(h, ledger, pid)
-        values = [float(v) for v in plan.values]
+        delta = 2.0 * float(HALF_SIDES[ledger.levels[pid].min()]) / 3.0
+        order, children = divide_once(h, ledger, pid)
+        values = [float(v) for v in ledger.values[children]]
         expected = before.copy()
-        for j, coord in enumerate(plan.coords):
-            expected[coord] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * plan.deltas[0])
+        for j, coord in enumerate(order):
+            expected[coord] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * delta)
         assert ledger.slopes[pid].tobytes() == expected.tobytes()
         for row, cid in enumerate(children):
             expected = before.copy()
-            expected[plan.coords[row // 2]] = abs(values[row] - parent_value) / plan.deltas[0]
+            expected[order[row // 2]] = abs(values[row] - parent_value) / delta
             assert ledger.slopes[cid].tobytes() == expected.tobytes()
 
 
@@ -95,8 +98,8 @@ def test_rectangle_division_leaves_other_coordinates_unchanged():
     divide_once(h, ledger, 0)
     # partition 1 is a 1/6 x 1/2 rectangle: only coordinate 1 gets divided
     before = ledger.slopes[1].copy()
-    plan, _ = divide_once(h, ledger, 1)
-    assert plan.coords == [1]
+    order, _ = divide_once(h, ledger, 1)
+    assert order == [1]
     assert ledger.slopes[1][0] == before[0]
     assert ledger.slopes[1][1] != before[1]
 
@@ -176,8 +179,8 @@ def test_affine_slopes_exact_through_run():
     for _ in range(12):
         # always re-divide the partition with the largest half diagonal
         pid = int(np.argmax(ledger.half_diagonals()))
-        plan, _ = divide_once(h, ledger, pid)
-        for coord in plan.coords:
+        order, _ = divide_once(h, ledger, pid)
+        for coord in order:
             assert ledger.slopes[pid][coord] == pytest.approx(abs(a[coord]), abs=1e-12)
     assert global_slope_max(ledger) == pytest.approx(float(np.linalg.norm(a)), abs=1e-9)
 
@@ -198,7 +201,7 @@ def test_child_slope_error_shrinks_along_chain():
     pid = 0
     errors = []
     for _ in range(5):
-        plan, children = divide_once(h, ledger, pid)
+        _, children = divide_once(h, ledger, pid)
         child = children[0]
         true_grad = abs(float(np.exp(ledger.centers[child][0])))
         errors.append(abs(ledger.slopes[child][0] - true_grad))

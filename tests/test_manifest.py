@@ -60,6 +60,13 @@ def test_load_rejects_a_record_that_is_not_an_object(tmp_path):
         load_manifest(path)
 
 
+def test_load_names_the_line_that_is_not_json(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_text('{"family": "schoen", "n": 2, "seed": 0}\nnot json\n')
+    with pytest.raises(ValueError, match=r"m\.jsonl is not JSON lines: line 2 column 1: "):
+        load_manifest(path)
+
+
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         problem_from_record({"family": "mystery", "n": 2})

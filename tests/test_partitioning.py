@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from halo.geometry import HALF_SIDES, PartitionLedger, StopRule
-from halo.partitioning import (
-    divide_partition,
-    evaluate_samples,
-    init_root,
-    plan_samples,
-    sample_partition,
-)
+from halo.partitioning import divide_partition, evaluate_samples, init_root, plan_samples
 from halo.solver import SolverConfig, run
 
-from conftest import tiles_cube, unit_handle
+from conftest import cut_order, sampled_plan, tiles_cube, unit_handle
 
 
 def lookup_objective(plus, minus):
@@ -55,28 +49,28 @@ def test_init_root_n10():
 def test_longest_sides_tie():
     h = unit_handle(lambda x: 0.0, 2)
     ledger = init_root(h)
-    assert plan_samples(ledger, 0).coords == [0, 1]
+    assert plan_samples(ledger, 0).coords.tolist() == [0, 1]
 
 
 def test_longest_sides_single():
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [0, 1], 0.0)
     assert ledger.half_sides[0, 1] == 1.0 / 6.0
-    assert plan_samples(ledger, 0).coords == [0]
+    assert plan_samples(ledger, 0).coords.tolist() == [0]
 
 
 def test_longest_sides_last_coord():
     ledger = PartitionLedger(3)
     ledger.append([0.5, 0.5, 0.5], [1, 1, 0], 0.0)
-    assert plan_samples(ledger, 0).coords == [2]
+    assert plan_samples(ledger, 0).coords.tolist() == [2]
 
 
 def test_sample_root_unit_square():
     h = unit_handle(lambda x: float(np.sum(x**2)), 2)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
+    plan = sampled_plan(ledger, 0, h)
     assert plan.deltas[0] == pytest.approx(1.0 / 3.0)
-    assert plan.coords == [0, 1]
+    assert plan.coords.tolist() == [0, 1]
     assert h.eval_count == 5  # root + 4 samples
     expected = {(0.5 + 1 / 3, 0.5), (0.5 - 1 / 3, 0.5), (0.5, 0.5 + 1 / 3), (0.5, 0.5 - 1 / 3)}
     got = {tuple(np.round(p, 12)) for p in plan.points}
@@ -86,7 +80,7 @@ def test_sample_root_unit_square():
 def test_sample_root_1d():
     h = unit_handle(lambda x: float(x[0]), 1)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
+    plan = sampled_plan(ledger, 0, h)
     assert plan.points[0::2][0][0] == pytest.approx(5.0 / 6.0)
     assert plan.points[1::2][0][0] == pytest.approx(1.0 / 6.0)
 
@@ -95,8 +89,8 @@ def test_sample_rectangle_only_longest():
     h = unit_handle(lambda x: float(np.sum(x)), 2)
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [1, 0], h.eval_normalized([0.5, 0.5]))
-    plan = sample_partition(ledger, 0, h)
-    assert plan.coords == [1]
+    plan = sampled_plan(ledger, 0, h)
+    assert plan.coords.tolist() == [1]
     assert plan.deltas[0] == pytest.approx(1.0 / 3.0)
     assert plan.points[0::2][0][0] == 0.5  # untouched coordinate
     assert plan.points[0::2][0][1] == pytest.approx(0.5 + 1.0 / 3.0)
@@ -106,7 +100,7 @@ def test_sample_points_inside_parent_box():
     rng = np.random.default_rng(3)
     h = unit_handle(lambda x: float(rng.standard_normal()), 3)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
+    plan = sampled_plan(ledger, 0, h)
     center = ledger.centers[0]
     sides = ledger.half_sides[0]
     for p in plan.points:
@@ -144,7 +138,7 @@ def test_sample_budget_pre_check_spends_nothing():
     h = unit_handle(lambda x: 0.0, 2)
     ledger = init_root(h)
     plan = plan_samples(ledger, 0, 3)  # the root needs 4 evaluations, only 3 fit
-    assert plan.parent_ids == [] and plan.points.shape == (0, 2)
+    assert plan.parent_ids.size == 0 and plan.points.shape == (0, 2)
     evaluate_samples(plan, h)
     assert h.eval_count == 1
     assert divide_partition(ledger, plan) == []
@@ -155,25 +149,27 @@ def test_division_order_sorts_by_min_value_then_coord():
     fn = lookup_objective(plus=[5.0, 1.0, 3.0], minus=[9.0, 2.0, 1.0])
     h = unit_handle(fn, 3)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
-    assert plan.coords == [1, 2, 0]
-    # rows 2j and 2j + 1 are center +/- delta along coords[j], with their values
-    for j, coord in enumerate(plan.coords):
+    ids = divide_partition(ledger, sampled_plan(ledger, 0, h))
+    assert cut_order(ledger, [0, 0, 0], ids) == [1, 2, 0]
+    # rows 2j and 2j + 1 are center +/- delta along the coordinate of cut j, with their values
+    delta = 2.0 * HALF_SIDES[0] / 3.0
+    for j, coord in enumerate([1, 2, 0]):
         for row, sign in ((2 * j, 1.0), (2 * j + 1, -1.0)):
             expected = np.full(3, 0.5)
-            expected[coord] += sign * plan.deltas[0]
-            assert plan.points[row].tobytes() == expected.tobytes()
-    assert plan.values.tolist() == [fn(p) for p in plan.points]
+            expected[coord] += sign * delta
+            assert ledger.centers[ids[row]].tobytes() == expected.tobytes()
+    assert ledger.values[ids].tolist() == [fn(c) for c in ledger.centers[ids]]
     # exact tie between coords 0 and 2 -> lower coordinate first
     h = unit_handle(lookup_objective(plus=[1.0, 5.0, 1.0], minus=[2.0, 6.0, 3.0]), 3)
     ledger = init_root(h)
-    assert sample_partition(ledger, 0, h).coords == [0, 2, 1]
+    ids = divide_partition(ledger, sampled_plan(ledger, 0, h))
+    assert cut_order(ledger, [0, 0, 0], ids) == [0, 2, 1]
 
 
 def test_divide_root_n2_order_0_then_1():
     h = unit_handle(lookup_objective(plus=[1.0, 3.0], minus=[2.0, 4.0]), 2)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
+    plan = sampled_plan(ledger, 0, h)
     ids = divide_partition(ledger, plan)
     assert ids == [1, 2, 3, 4]
     sides = {i: tuple(ledger.half_sides[i]) for i in range(5)}
@@ -186,7 +182,7 @@ def test_divide_root_n2_order_0_then_1():
 def test_divide_root_n2_order_1_then_0_mirrors():
     h = unit_handle(lookup_objective(plus=[3.0, 1.0], minus=[4.0, 2.0]), 2)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
+    plan = sampled_plan(ledger, 0, h)
     divide_partition(ledger, plan)
     third, half = 0.5 / 3.0, 0.5
     assert tuple(ledger.half_sides[1]) == (half, third)
@@ -197,7 +193,7 @@ def test_divide_root_n2_order_1_then_0_mirrors():
 def test_divide_root_1d():
     h = unit_handle(lambda x: float(x[0]), 1)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
+    plan = sampled_plan(ledger, 0, h)
     divide_partition(ledger, plan)
     assert len(ledger) == 3
     assert np.allclose(ledger.half_sides, 1.0 / 6.0)
@@ -219,7 +215,7 @@ def test_lowest_new_value_gets_longest_child_diagonal():
     rng = np.random.default_rng(11)
     h = unit_handle(lambda x: float(rng.uniform()), 3)
     ledger = init_root(h)
-    plan = sample_partition(ledger, 0, h)
+    plan = sampled_plan(ledger, 0, h)
     ids = divide_partition(ledger, plan)
     diags = {i: float(np.linalg.norm(ledger.half_sides[i])) for i in ids}
     values = {i: float(ledger.values[i]) for i in ids}
@@ -240,7 +236,7 @@ def test_strict_nesting_forced_chain():
     ledger = init_root(h)
     previous = np.linalg.norm(ledger.half_sides[0])
     for _ in range(30):
-        plan = sample_partition(ledger, 0, h)
+        plan = sampled_plan(ledger, 0, h)
         divide_partition(ledger, plan)
         current = np.linalg.norm(ledger.half_sides[0])
         assert current < previous
