@@ -17,8 +17,6 @@ from .geometry import (
     denormalize_point,
     normalize_point,
 )
-from .lipschitz import blend_constants, global_slope_max
-from .local_search import LocalResult, coordinate_descent_minimize, gate_local_search
 from .manifest import load_manifest, problem_from_record, write_manifest
 from .metrics import (
     BenchmarkReport,
@@ -28,18 +26,8 @@ from .metrics import (
     step_curve,
     variable_importance,
 )
-from .partitioning import (
-    SamplePlan,
-    divide_partition,
-    init_root,
-)
 from .problems import TestProblem, classical_problem, classical_suite, shift_minimizer
 from .schoen import schoen_generate
-from .selection import (
-    SelectionOutcome,
-    select_halo,
-    select_potentially_optimal,
-)
 from .solver import RunTrace, SolverConfig, run
 
 __all__ = [
@@ -51,17 +39,6 @@ __all__ = [
     "StopRule",
     "normalize_point",
     "denormalize_point",
-    "init_root",
-    "divide_partition",
-    "SamplePlan",
-    "global_slope_max",
-    "blend_constants",
-    "SelectionOutcome",
-    "select_halo",
-    "select_potentially_optimal",
-    "LocalResult",
-    "gate_local_search",
-    "coordinate_descent_minimize",
     "SolverConfig",
     "RunTrace",
     "run",

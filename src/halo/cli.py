@@ -120,12 +120,16 @@ def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Report document path (.json).")
 def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
     """Run a whole manifest and write the report (JSON plus flat CSV)."""
+    csv_path = str(Path(out).with_suffix(".csv"))
+    if len({Path(p).resolve() for p in (manifest_path, out, csv_path)}) < 3:
+        raise click.UsageError(
+            f"the report {out}, its table {csv_path} and the manifest {manifest_path} must be three different files"
+        )
     records = _load_manifest(manifest_path)
     cfg = _solver_config(variant, budget, beta, tol, local_search)
     report = run_benchmark(records, cfg, parallelism=jobs)
     report.metadata["manifest"] = str(manifest_path)
     write_json(out, report.to_document())
-    csv_path = str(Path(out).with_suffix(".csv"))
     write_csv(csv_path, REPORT_COLUMNS, report_table(report))
     click.echo(
         f"problems={len(report.rows)} percent_solved={fmt_float(report.percent_solved)} "
@@ -143,6 +147,10 @@ def _read_report(path, show_auoc: bool):
     if not rows:
         raise ValueError("no rows")
     for r in rows:
+        if not isinstance(r.solved, bool):
+            raise ValueError(f"row {r.problem}: solved must be true or false")
+        if isinstance(r.fevals, bool) or not isinstance(r.fevals, int):
+            raise ValueError(f"row {r.problem}: fevals must be an integer")
         if r.importance is not None and not (
             isinstance(r.importance, list) and all(isinstance(v, (int, float)) for v in r.importance)
         ):

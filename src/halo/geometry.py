@@ -1,8 +1,11 @@
 """Box domains, trisection levels and the append-only partition ledger.
 
 All solver geometry lives in the normalized unit hypercube [0, 1]^N.
-Objective functions are evaluated in problem units; the two coordinate
-systems are connected by ``normalize_point`` / ``denormalize_point``.
+Objective functions are evaluated in problem units; the solver maps its
+points there through ``ObjectiveHandle.to_problem_units``.
+``normalize_point`` / ``denormalize_point`` map single points with a range
+check, for starting points given in problem units and for replaying a
+trace.
 
 The solver only ever trisects, so the size of a box is fully described by
 an integer level per side: a side cut ``l`` times has half length
@@ -117,7 +120,7 @@ class PartitionLedger:
     quotients along each axis, in objective units per normalized length.
 
     Three columns are cached when a row is written: the half diagonal
-    ``norm(half_sides)``, the depth ``levels.sum()`` and the slope norm
+    ``norm(HALF_SIDES[levels])``, the depth ``levels.sum()`` and the slope norm
     ``norm(slopes)``.  So that they cannot go stale, every column is handed
     out as a read-only view; rows change only through ``append`` and
     ``divide``.
@@ -161,11 +164,6 @@ class PartitionLedger:
     def levels(self) -> np.ndarray:
         """View of the trisection level of every side, shape (count, dim)."""
         return self._view(self._levels)
-
-    @property
-    def half_sides(self) -> np.ndarray:
-        """Half side lengths ``HALF_SIDES[levels]``, as a new array."""
-        return HALF_SIDES[self.levels]
 
     @property
     def depths(self) -> np.ndarray:
@@ -257,16 +255,16 @@ OnEval = Callable[[np.ndarray, float], None]
 class ObjectiveHandle:
     """Opaque evaluator of the objective over a box domain.
 
-    ``eval_count`` increments by exactly one per evaluation, including
-    evaluations made by local searches.  A handle is owned by a single
+    ``eval_count`` starts at 0 and increments by exactly one per evaluation,
+    including evaluations made by local searches.  A handle is owned by a single
     solver run; the wrapped ``evaluator`` itself must be safe to call from
     several handles concurrently.
     """
 
     evaluator: Callable[[np.ndarray], float]
     domain: BoxDomain
-    eval_count: int = 0
     known_optimum: Optional[float] = None
+    eval_count: int = field(default=0, init=False)
 
     def evaluate(self, point) -> float:
         """Evaluate at a problem-units point."""

@@ -15,8 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import BoxDomain, ObjectiveHandle, normalize_point
-from .local_search import coordinate_descent_minimize
+from .geometry import BoxDomain, ObjectiveHandle
 
 BENCHMARK_DIMS = (2, 3, 4, 6, 8, 10)
 
@@ -35,7 +34,6 @@ class TestProblem:
     domain: BoxDomain
     known_optimum: float
     known_minimizer: np.ndarray
-    shift: Optional[np.ndarray] = None
     family: str = "classical"
     function: Optional[str] = None
     seed: Optional[int] = None
@@ -374,7 +372,6 @@ def apply_shift(problem: TestProblem, delta: np.ndarray) -> TestProblem:
         problem,
         fn=shifted,
         known_minimizer=problem.known_minimizer + delta,
-        shift=delta,
     )
 
 
@@ -392,61 +389,3 @@ def shift_minimizer(problem: TestProblem, seed: int) -> TestProblem:
     target = rng.uniform(d.lower + margin, d.upper - margin)
     shifted = apply_shift(problem, target - problem.known_minimizer)
     return replace(shifted, shift_seed=seed)
-
-
-@dataclass(frozen=True)
-class OptimumAudit:
-    """Result of independently re-deriving a problem's stored optimum."""
-
-    refined_best: float
-    value_at_minimizer: float
-    mismatch: float
-
-
-def audit_optimum(
-    problem: TestProblem,
-    probes: int = 1_000_000,
-    seed: int = 0,
-    refine_budget: int = 60_000,
-    tol: float = 1e-6,
-) -> OptimumAudit:
-    """Re-derive the optimum with a dense random probe plus local refinement.
-
-    Refines both the best probe point and the stored minimizer with the
-    coordinate search and compares the better of the two against the stored
-    optimum.  A mismatch above ``tol`` means a stored constant is wrong and
-    raises ValueError; stored constants are never trusted unaudited.
-    """
-    d = problem.domain
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(d.lower, d.upper, size=(probes, problem.n))
-    values = np.asarray(problem.fn(points), dtype=float)
-    probe_best = points[int(np.argmin(values))]
-
-    candidates = []
-    for start in (probe_best, problem.known_minimizer):
-        handle = problem.make_handle()
-        result = coordinate_descent_minimize(
-            handle,
-            normalize_point(np.clip(start, d.lower, d.upper), d),
-            budget=refine_budget,
-            tol=1e-12,
-            initial_step=1e-2,
-        )
-        candidates.append(result.value)
-    refined_best = min(min(candidates), float(values.min()))
-    value_at_minimizer = float(problem.fn(problem.known_minimizer))
-
-    mismatch = abs(refined_best - problem.known_optimum)
-    audit = OptimumAudit(refined_best, value_at_minimizer, mismatch)
-    if mismatch > tol:
-        raise ValueError(
-            f"stored optimum for {problem.name} is off by {mismatch:.3e}: "
-            f"stored {problem.known_optimum!r}, re-derived {refined_best!r}"
-        )
-    if abs(value_at_minimizer - problem.known_optimum) > 1e-9:
-        raise ValueError(
-            f"{problem.name}: evaluating the stored minimizer gives "
-            f"{value_at_minimizer!r}, not the stored optimum {problem.known_optimum!r}"
-        )
-    return audit

@@ -35,20 +35,17 @@ def _evaluate(x: np.ndarray, anchors: np.ndarray, values: np.ndarray, exponents:
     return float(np.dot(values, w) / w.sum())
 
 
-def schoen_generate(seed: int, n: int, s: int | None = None) -> TestProblem:
+def schoen_generate(seed: int, n: int) -> TestProblem:
     """Build one seeded test function on [0, 1]^n.
 
     Draw order is fixed (anchor count, anchors, values, exponents) so a
-    seed always reproduces the same function.  ``s`` overrides the anchor
-    count; manifests store the drawn count for integrity checks.
+    seed always reproduces the same function.  Manifests store the drawn
+    anchor count for integrity checks.
     """
     if n < 1:
         raise ValueError("dimension must be >= 1")
     rng = np.random.default_rng(seed)
-    if s is None:
-        s = int(rng.integers(MIN_STATIONARY_POINTS, MAX_STATIONARY_POINTS + 1))
-    if s < MIN_STATIONARY_POINTS:
-        raise ValueError(f"need at least {MIN_STATIONARY_POINTS} stationary points, got {s}")
+    s = int(rng.integers(MIN_STATIONARY_POINTS, MAX_STATIONARY_POINTS + 1))
     anchors = rng.uniform(size=(s, n))
     values = rng.uniform(*ANCHOR_VALUE_RANGE, size=s)
     exponents = rng.uniform(2.0, 3.0, size=s)

@@ -1,7 +1,7 @@
 """Independent reference implementations used to check the library.
 
-Everything here is deliberately written as plain loops over Python floats,
-separate from the vectorized code under test.
+Everything here but the optimum audit is deliberately written as plain
+loops over Python floats, separate from the vectorized code under test.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from halo.geometry import HALF_SIDES, MAX_LEVEL
+from halo.geometry import HALF_SIDES, MAX_LEVEL, normalize_point
+from halo.local_search import coordinate_descent_minimize
 
 
 def central_difference(fn, x, coord: int, h: float) -> float:
@@ -198,3 +199,46 @@ def divide_one_at_a_time(ref: ReferenceLedger, pid: int, obj, on_eval=None) -> N
             ref.slopes.append(child_slopes)
     ref.levels[pid] = new_levels
     ref.slopes[pid] = new_slopes
+
+
+def audit_optimum(problem, probes: int = 1_000_000, seed: int = 0,
+                  refine_budget: int = 60_000, tol: float = 1e-6) -> float:
+    """Re-derive a problem's optimum with a dense random probe plus local refinement.
+
+    Refines both the best probe point and the stored minimizer with the
+    coordinate search and compares the better of the two against the stored
+    optimum.  Returns the mismatch; one above ``tol``, or a stored minimizer
+    that does not evaluate to the stored optimum, means a stored constant is
+    wrong and raises ValueError.
+    """
+    d = problem.domain
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(d.lower, d.upper, size=(probes, problem.n))
+    values = np.asarray(problem.fn(points), dtype=float)
+    probe_best = points[int(np.argmin(values))]
+
+    candidates = []
+    for start in (probe_best, problem.known_minimizer):
+        result = coordinate_descent_minimize(
+            problem.make_handle(),
+            normalize_point(np.clip(start, d.lower, d.upper), d),
+            budget=refine_budget,
+            tol=1e-12,
+            initial_step=1e-2,
+        )
+        candidates.append(result.value)
+    refined_best = min(min(candidates), float(values.min()))
+    value_at_minimizer = float(problem.fn(problem.known_minimizer))
+
+    mismatch = abs(refined_best - problem.known_optimum)
+    if mismatch > tol:
+        raise ValueError(
+            f"stored optimum for {problem.name} is off by {mismatch:.3e}: "
+            f"stored {problem.known_optimum!r}, re-derived {refined_best!r}"
+        )
+    if abs(value_at_minimizer - problem.known_optimum) > 1e-9:
+        raise ValueError(
+            f"{problem.name}: evaluating the stored minimizer gives "
+            f"{value_at_minimizer!r}, not the stored optimum {problem.known_optimum!r}"
+        )
+    return mismatch

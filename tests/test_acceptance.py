@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from halo.geometry import BoxDomain, ObjectiveHandle, StopRule
+from halo.geometry import HALF_SIDES, BoxDomain, ObjectiveHandle, StopRule
 from halo.lipschitz import blend, blend_constants, global_slope_max
 from halo.manifest import load_manifest
 from halo.metrics import auoc, run_benchmark, step_curve, variable_importance
@@ -75,7 +75,7 @@ def test_criterion_1_iteration_zero_trace():
             trace = run(h, SolverConfig(stop=StopRule(max_fun_evals=5, max_iter=2)))
             assert trace.n_evals == 5
             assert len(trace.ledger) == 5
-            got = sorted(tuple(sorted(row)) for row in trace.ledger.half_sides.tolist())
+            got = sorted(tuple(sorted(row)) for row in HALF_SIDES[trace.ledger.levels].tolist())
             third = 0.5 / 3.0
             expected = sorted(
                 [(third, third)] * 3 + [(third, 0.5)] * 2

@@ -5,10 +5,12 @@ entry points by these names; renaming or rebinding one breaks the
 benchmark, whose own tests are not part of this suite.
 """
 
+import dataclasses
+
 import numpy as np
 
 import halo
-from halo.geometry import StopRule
+from halo.geometry import ObjectiveHandle, StopRule
 from halo.solver import SolverConfig
 
 from conftest import unit_handle
@@ -21,8 +23,22 @@ def test_the_names_the_benchmark_uses_resolve():
     assert halo.metrics.run is halo.solver.run
     assert callable(halo.manifest.schoen_manifest)
     assert callable(halo.solver.relative_error)
+    for name in ("run", "SolverConfig", "StopRule", "classical_problem", "shift_minimizer",
+                 "load_manifest", "problem_from_record", "write_manifest", "run_benchmark",
+                 "RunRecord", "auoc", "step_curve"):
+        assert hasattr(halo, name), name
+    # the harness builds RunRecord positionally and patches the handle's own __init__
+    fields = [f.name for f in dataclasses.fields(halo.RunRecord)]
+    assert fields[:7] == ["problem", "n", "variant", "solved", "fevals", "best_value", "rel_error"]
+    assert "__init__" in vars(ObjectiveHandle)
+    assert {"evaluator", "domain", "known_optimum"} <= {f.name for f in dataclasses.fields(ObjectiveHandle)}
+    problem = halo.problems.TestProblem  # imported by name, pytest would try to collect it
+    assert "shift_seed" in {f.name for f in dataclasses.fields(problem)}
+    assert callable(problem.make_handle)
     cfg = SolverConfig(stop=StopRule(max_fun_evals=20))
     trace = halo.run(unit_handle(lambda x: float(np.sum(x**2)), 2), cfg)
+    for name in ("n_evals", "iterations", "ledger", "n_local_evals", "best_value"):
+        assert hasattr(trace, name), name
     for i, e in enumerate(trace.evals, start=1):
         assert e.index == i
         assert e.point.shape == (2,)

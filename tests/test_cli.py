@@ -201,13 +201,38 @@ def test_solve_manifest_ref_to_a_directory_is_a_usage_error(tmp_path):
     assert "unknown problem" in result.output
 
 
-def test_report_rejects_an_importance_that_is_not_a_list_before_writing(tmp_path, tmp_path_factory):
+def report_one_row(tmp_path, tmp_path_factory, **fields):
+    """Run ``halo report`` with both CSVs into ``tmp_path`` on one REPORT_ROW with ``fields``."""
     report_path = tmp_path_factory.mktemp("inputs") / "report.json"
-    row = {**REPORT_ROW, "importance": 5}
-    report_path.write_text(json.dumps({"aggregate": REPORT_AGGREGATE, "rows": [row]}))
-    oc_csv, imp_csv = tmp_path / "oc.csv", tmp_path / "imp.csv"
-    result = CliRunner().invoke(main, ["report", "--in", str(report_path),
-                                       "--oc-csv", str(oc_csv), "--importance-csv", str(imp_csv)])
+    report_path.write_text(json.dumps({"aggregate": REPORT_AGGREGATE, "rows": [{**REPORT_ROW, **fields}]}))
+    return CliRunner().invoke(main, ["report", "--in", str(report_path), "--oc-csv", str(tmp_path / "oc.csv"),
+                                     "--importance-csv", str(tmp_path / "imp.csv")])
+
+
+def test_report_rejects_an_importance_that_is_not_a_list_before_writing(tmp_path, tmp_path_factory):
+    result = report_one_row(tmp_path, tmp_path_factory, importance=5)
     assert result.exit_code == 2, result.output
     assert "importance" in result.output
-    assert not oc_csv.exists() and not imp_csv.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("manifest_name, out_name", [("m.jsonl", "r.csv"), ("m.jsonl", "m.jsonl"),
+                                                     ("m.csv", "m.json")])
+def test_bench_rejects_an_out_that_would_overwrite_a_file_it_uses(tmp_path, manifest_name, out_name):
+    manifest = tmp_path / manifest_name
+    invoke("gen", "--family", "schoen", "--n", "2", "--count", "1", "--out", str(manifest))
+    before = manifest.read_bytes()
+    result = CliRunner().invoke(main, ["bench", "--manifest", str(manifest), "--budget", "50",
+                                       "--out", str(tmp_path / out_name)])
+    assert result.exit_code == 2, result.output
+    assert list(tmp_path.iterdir()) == [manifest]
+    assert manifest.read_bytes() == before
+
+
+@pytest.mark.parametrize("field, value", [("fevals", "abc"), ("fevals", None), ("fevals", 1.5),
+                                          ("solved", "yes"), ("solved", 1)])
+def test_report_rejects_a_malformed_row_before_writing(tmp_path, tmp_path_factory, field, value):
+    result = report_one_row(tmp_path, tmp_path_factory, **{field: value})
+    assert result.exit_code == 2, result.output
+    assert field in result.output
+    assert list(tmp_path.iterdir()) == []

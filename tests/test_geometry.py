@@ -131,6 +131,12 @@ def test_eval_count_increments_once_per_call():
     assert h.eval_count == len(calls) == 2
 
 
+def test_eval_count_starts_at_zero_and_is_not_a_constructor_argument():
+    with pytest.raises(TypeError):
+        ObjectiveHandle(lambda x: 0.0, BoxDomain([0.0], [1.0]), eval_count=1)
+    assert ObjectiveHandle(lambda x: 0.0, BoxDomain([0.0], [1.0]), 0.5).known_optimum == 0.5
+
+
 def test_eval_normalized_denormalizes():
     seen = []
     h = ObjectiveHandle(lambda x: seen.append(x.copy()) or 0.0, BoxDomain([10.0], [20.0]))
@@ -202,9 +208,9 @@ def test_ledger_views_are_read_only():
 def test_ledger_partition_copies_are_detached():
     ledger = PartitionLedger(1)
     ledger.append([0.5], [0], 1.0, [2.0])
-    sides = ledger.half_sides
+    sides = HALF_SIDES[ledger.levels]
     sides[0, 0] = 99.0
-    assert ledger.half_sides[0, 0] == 0.5
+    assert HALF_SIDES[ledger.levels[0, 0]] == 0.5
     assert ledger.half_diagonals()[0] == 0.5
 
 
@@ -266,7 +272,7 @@ def test_trisect_cuts_only_longest_sides_and_refreshes_caches():
     assert ledger.depths.tolist() == [3, 2, 2, 3, 3]
     assert ledger.values.tolist() == [0.0, 1.0, 6.0, 4.0, 5.0]
     assert ledger.centers[1:].tobytes() == plan.points[[2, 3, 0, 1]].tobytes()
-    assert ledger.half_diagonals().tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
+    assert ledger.half_diagonals().tobytes() == np.linalg.norm(HALF_SIDES[ledger.levels], axis=1).tobytes()
 
 
 def test_block_divide_appends_children_in_block_order():
@@ -284,7 +290,7 @@ def test_block_divide_appends_children_in_block_order():
     delta = 2.0 * HALF_SIDES[1] / 3.0
     assert ledger.centers[2:4].tolist() == [[0.5, 0.2 + delta], [0.5, 0.2 - delta]]
     assert ledger.values.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
-    assert ledger.half_diagonals().tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
+    assert ledger.half_diagonals().tobytes() == np.linalg.norm(HALF_SIDES[ledger.levels], axis=1).tobytes()
 
 
 def test_divide_partition_below_float_resolution_raises_and_writes_nothing():

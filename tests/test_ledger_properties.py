@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from halo.geometry import StopRule
+from halo.geometry import HALF_SIDES, StopRule
 from halo.partitioning import divide_partition, evaluate_samples, plan_samples
 from halo.solver import VARIANTS, SolverConfig, run
 
@@ -54,7 +54,7 @@ def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_sea
 
     # the cached half diagonals are the bits of a whole-matrix norm
     diags = ledger.half_diagonals()
-    assert diags.tobytes() == np.linalg.norm(ledger.half_sides, axis=1).tobytes()
+    assert diags.tobytes() == np.linalg.norm(HALF_SIDES[ledger.levels], axis=1).tobytes()
 
     # so are the cached slope norms
     assert ledger.slope_norms().tobytes() == np.linalg.norm(ledger.slopes, axis=1).tobytes()

@@ -168,7 +168,7 @@ def test_blend_constants_matches_scalar_loop(rng):
     g = global_slope_max(ledger)
     vector = blend_constants(ledger, g)
     for i in range(len(ledger)):
-        oracle = blend_local_constant(ledger.half_sides[i], ledger.slopes[i], g)
+        oracle = blend_local_constant(HALF_SIDES[ledger.levels[i]], ledger.slopes[i], g)
         assert vector[i] == pytest.approx(oracle, rel=1e-14)
 
 

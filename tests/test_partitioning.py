@@ -36,7 +36,7 @@ def test_init_root_n1():
     ledger = init_root(h)
     assert np.array_equal(ledger.centers[0], [0.5])
     assert np.array_equal(ledger.levels[0], [0])
-    assert np.array_equal(ledger.half_sides[0], [0.5])
+    assert np.array_equal(HALF_SIDES[ledger.levels[0]], [0.5])
 
 
 def test_init_root_n10():
@@ -55,7 +55,7 @@ def test_longest_sides_tie():
 def test_longest_sides_single():
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [0, 1], 0.0)
-    assert ledger.half_sides[0, 1] == 1.0 / 6.0
+    assert HALF_SIDES[ledger.levels[0, 1]] == 1.0 / 6.0
     assert plan_samples(ledger, 0).coords.tolist() == [0]
 
 
@@ -102,7 +102,7 @@ def test_sample_points_inside_parent_box():
     ledger = init_root(h)
     plan = sampled_plan(ledger, 0, h)
     center = ledger.centers[0]
-    sides = ledger.half_sides[0]
+    sides = HALF_SIDES[ledger.levels[0]]
     for p in plan.points:
         assert np.all(np.abs(p - center) <= sides + 1e-15)
 
@@ -172,7 +172,7 @@ def test_divide_root_n2_order_0_then_1():
     plan = sampled_plan(ledger, 0, h)
     ids = divide_partition(ledger, plan)
     assert ids == [1, 2, 3, 4]
-    sides = {i: tuple(ledger.half_sides[i]) for i in range(5)}
+    sides = {i: tuple(HALF_SIDES[ledger.levels[i]]) for i in range(5)}
     third, half = 0.5 / 3.0, 0.5
     assert sides[1] == (third, half) and sides[2] == (third, half)
     assert sides[0] == (third, third)
@@ -185,9 +185,9 @@ def test_divide_root_n2_order_1_then_0_mirrors():
     plan = sampled_plan(ledger, 0, h)
     divide_partition(ledger, plan)
     third, half = 0.5 / 3.0, 0.5
-    assert tuple(ledger.half_sides[1]) == (half, third)
-    assert tuple(ledger.half_sides[2]) == (half, third)
-    assert tuple(ledger.half_sides[0]) == (third, third)
+    assert tuple(HALF_SIDES[ledger.levels[1]]) == (half, third)
+    assert tuple(HALF_SIDES[ledger.levels[2]]) == (half, third)
+    assert tuple(HALF_SIDES[ledger.levels[0]]) == (third, third)
 
 
 def test_divide_root_1d():
@@ -196,7 +196,7 @@ def test_divide_root_1d():
     plan = sampled_plan(ledger, 0, h)
     divide_partition(ledger, plan)
     assert len(ledger) == 3
-    assert np.allclose(ledger.half_sides, 1.0 / 6.0)
+    assert np.allclose(HALF_SIDES[ledger.levels], 1.0 / 6.0)
     assert tiles_cube(ledger)
 
 
@@ -217,7 +217,7 @@ def test_lowest_new_value_gets_longest_child_diagonal():
     ledger = init_root(h)
     plan = sampled_plan(ledger, 0, h)
     ids = divide_partition(ledger, plan)
-    diags = {i: float(np.linalg.norm(ledger.half_sides[i])) for i in ids}
+    diags = {i: float(np.linalg.norm(HALF_SIDES[ledger.levels[i]])) for i in ids}
     values = {i: float(ledger.values[i]) for i in ids}
     best = min(ids, key=lambda i: values[i])
     assert diags[best] == pytest.approx(max(diags.values()))
@@ -234,11 +234,11 @@ def test_volume_conserved_after_runs():
 def test_strict_nesting_forced_chain():
     h = unit_handle(lambda x: float(np.sum(x)), 2)
     ledger = init_root(h)
-    previous = np.linalg.norm(ledger.half_sides[0])
+    previous = np.linalg.norm(HALF_SIDES[ledger.levels[0]])
     for _ in range(30):
         plan = sampled_plan(ledger, 0, h)
         divide_partition(ledger, plan)
-        current = np.linalg.norm(ledger.half_sides[0])
+        current = np.linalg.norm(HALF_SIDES[ledger.levels[0]])
         assert current < previous
         previous = current
     assert previous < 1e-4

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from halo.schoen import _evaluate, schoen_generate
+from halo.schoen import MAX_STATIONARY_POINTS, _evaluate, schoen_generate
 
 
 def naive_reference(x, anchors, values, exponents):
@@ -49,7 +49,8 @@ def test_matches_naive_reference(rng):
 
 
 def test_no_underflow_at_max_anchor_count():
-    prob = schoen_generate(4, 2, s=100)
+    prob = schoen_generate(292, 2)
+    assert prob.stationary_points == MAX_STATIONARY_POINTS
     rng = np.random.default_rng(0)
     vals = [float(prob.fn(rng.uniform(size=2))) for _ in range(200)]
     assert all(np.isfinite(v) for v in vals)
@@ -107,8 +108,3 @@ def test_exact_anchor_hit_returns_anchor_value():
     values = np.array([3.0, 7.0])
     exponents = np.array([2.0, 2.0])
     assert _evaluate(anchors[1].copy(), anchors, values, exponents) == 7.0
-
-
-def test_s_below_two_rejected():
-    with pytest.raises(ValueError):
-        schoen_generate(0, 2, s=1)

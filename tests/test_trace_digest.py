@@ -17,7 +17,7 @@ import struct
 import numpy as np
 import pytest
 
-from halo.geometry import BoxDomain, ObjectiveHandle, StopRule
+from halo.geometry import HALF_SIDES, BoxDomain, ObjectiveHandle, StopRule
 from halo.manifest import load_manifest, problem_from_record
 from halo.problems import classical_problem, rastrigin, shift_minimizer
 from halo.solver import SolverConfig, run
@@ -107,4 +107,4 @@ def test_trace_digest_unchanged(case):
 
 def test_deep_case_trisects_past_level_300():
     trace = solve("rastrigin2-deep/halo")
-    assert trace.ledger.half_sides.min() < 0.5 * 3.0**-300
+    assert HALF_SIDES[trace.ledger.levels].min() < 0.5 * 3.0**-300
