@@ -88,6 +88,9 @@ def main():
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the evaluation trace (JSONL).")
 def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
     """Run one problem and print the outcome."""
+    path = problem.partition("#")[0]
+    if out and os.path.isfile(path) and Path(out).resolve() == Path(path).resolve():
+        raise click.UsageError(f"the trace {out} would overwrite the manifest {path}")
     prob = _resolve_problem(problem, n, seed)
     cfg = _solver_config(variant, budget, beta, tol, local_search)
     handle = prob.make_handle()
@@ -182,6 +185,9 @@ def _load_reports(paths, show_auoc: bool):
 @click.option("--importance-csv", type=click.Path(dir_okay=False), default=None)
 def report(inputs, show_auoc, oc_csv, importance_csv):
     """Summarize one or more benchmark reports."""
+    outputs = [Path(p).resolve() for p in (oc_csv, importance_csv) if p]
+    if len(set(outputs)) < len(outputs) or set(outputs) & {Path(p).resolve() for p in inputs}:
+        raise click.UsageError("--oc-csv and --importance-csv must be two different files, neither of them an --in report")
     loaded = _load_reports(inputs, show_auoc)
     all_rows = []
     for line, rows, _ in loaded:

@@ -6,6 +6,9 @@ ledger caches each row's norm as it writes the row
 (``PartitionLedger.slope_norms``).  The blend of a partition's own slope
 norm with the ledger-wide maximum gives the local constant used to form
 lower bounds.
+Both work on the whole ledger or on a subset of its rows, with the same
+elementwise expressions, so a row's constant and bound have the same bits
+either way; ``select_halo`` recomputes only the rows that changed.
 """
 
 from __future__ import annotations
@@ -33,19 +36,20 @@ def blend(alpha, global_constant, slope_norm):
     return alpha * global_constant + (1.0 - alpha) * slope_norm
 
 
-def blend_constants(ledger: PartitionLedger, global_constant: float) -> np.ndarray:
-    """Local Lipschitz constant estimate of every partition.
+def blend_constants(ledger: PartitionLedger, global_constant: float, rows=slice(None)) -> np.ndarray:
+    """Local Lipschitz constant estimate of every partition, or of the ids ``rows``.
 
     Each ``alpha`` is the box diagonal over the cube diagonal sqrt(N),
     capped at 1, which the root reaches.
     """
-    alphas = np.minimum(2.0 * ledger.half_diagonals() / np.sqrt(ledger.dim), 1.0)
-    return blend(alphas, global_constant, ledger.slope_norms())
+    alphas = np.minimum(2.0 * ledger.half_diagonals()[rows] / np.sqrt(ledger.dim), 1.0)
+    return blend(alphas, global_constant, ledger.slope_norms()[rows])
 
 
-def lower_bounds(ledger: PartitionLedger, constants) -> np.ndarray:
-    """Optimistic value every partition could contain: f(center) - L * halfdiag.
+def lower_bounds(ledger: PartitionLedger, constants, rows=slice(None)) -> np.ndarray:
+    """Optimistic value a partition could contain: f(center) - L * halfdiag.
 
-    ``constants`` is one L per partition, or one L for all of them.
+    Covers every partition, or the ids ``rows``; ``constants`` is one L
+    per partition covered, or one L for all of them.
     """
-    return ledger.values - constants * ledger.half_diagonals()
+    return ledger.values[rows] - constants * ledger.half_diagonals()[rows]

@@ -15,6 +15,12 @@ builds the children's and the parents' level rows and refreshes the slope
 rows from the same samples (central differences for the parents, forward
 differences for the children), then hands every row to the ledger in one
 call.  One partition is a block of one.
+
+A block holds a few divisions of a few sides each, so both functions read
+the block's rows once and do the per-division geometry on Python
+scalars, which round exactly as numpy's float64 does; numpy only
+gathers the rows and builds the point block and the rows the ledger
+stores, whose half diagonals, depths and slope norms it computes.
 """
 
 from __future__ import annotations
@@ -25,6 +31,10 @@ from typing import Optional
 import numpy as np
 
 from .geometry import HALF_SIDES, ObjectiveHandle, OnEval, PartitionLedger
+
+# _DELTAS[l] is the sampling step of a box whose longest sides are at level
+# l, as Python floats with the bits of the numpy expression
+_DELTAS = (2.0 * HALF_SIDES / 3.0).tolist()
 
 
 @dataclass
@@ -69,26 +79,33 @@ def plan_samples(ledger: PartitionLedger, pids, max_evals: Optional[int] = None)
     cube.
     """
     ids = np.array(pids, dtype=np.intp, ndmin=1)
-    levels = ledger.levels[ids]
-    low = levels.min(axis=1)
-    longest = levels == low[:, None]
-    counts = longest.sum(axis=1)
-    deltas = 2.0 * HALF_SIDES[low] / 3.0
-    fit = ids.size
-    if max_evals is not None:
-        fit = int((2 * counts).cumsum().searchsorted(max_evals, side="right"))
-    if not deltas[:fit].all():
-        # dividing a box at MAX_LEVEL raises, so nothing after it is sampled
-        fit = int(np.argmin(deltas)) + 1
-    ids, longest, counts, deltas = ids[:fit], longest[:fit], counts[:fit], deltas[:fit]
-    owner, coords = np.nonzero(longest)
-    steps = deltas[owner]
-    # rows 2j and 2j + 1 are center +/- delta along coords[j]
-    points = ledger.centers[ids].repeat(2 * counts, axis=0)
-    plus = np.arange(0, 2 * coords.size, 2)
-    points[plus, coords] += steps
-    points[plus + 1, coords] -= steps
-    return SamplePlan(ids, counts, deltas, coords, points)
+    budget = np.inf if max_evals is None else max_evals
+    counts: list[int] = []
+    deltas: list[float] = []
+    coords: list[int] = []
+    points: list[list[float]] = []
+    for levels, center in zip(ledger.levels[ids].tolist(), ledger.centers[ids].tolist()):
+        low = min(levels)
+        cut = [j for j, level in enumerate(levels) if level == low]
+        budget -= 2 * len(cut)
+        if budget < 0:
+            break
+        delta = _DELTAS[low]
+        counts.append(len(cut))
+        deltas.append(delta)
+        coords += cut
+        # rows 2j and 2j + 1 are center +/- delta along coords[j]
+        for j in cut:
+            plus, minus = center.copy(), center.copy()
+            plus[j] += delta
+            minus[j] -= delta
+            points += (plus, minus)
+        if not delta:
+            break  # dividing a box at MAX_LEVEL raises, so nothing after it is sampled
+    return SamplePlan(
+        ids[: len(counts)], np.array(counts, dtype=np.intp), np.array(deltas),
+        np.array(coords, dtype=np.intp), np.array(points).reshape(-1, ledger.dim),
+    )
 
 
 def evaluate_samples(plan: SamplePlan, obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> None:
@@ -122,44 +139,44 @@ def divide_partition(ledger: PartitionLedger, plan: SamplePlan) -> list[int]:
     if a kept division is below float resolution.  Returns the new ids:
     rows ``2j`` and ``2j + 1`` are the children of cut ``j``.
     """
-    values = plan.values
-    kept = int((2 * plan.counts).cumsum().searchsorted(len(values), side="right"))
-    ids, counts, deltas = plan.parent_ids[:kept], plan.counts[:kept], plan.deltas[:kept]
-    if not deltas.all():
-        # at MAX_LEVEL the box has no width left to form a difference over
-        pid = ids[np.argmin(deltas)]
-        raise ZeroDivisionError(f"partition {pid} is below float resolution: delta is 0")
-    # the best new point is cut first, so it lands in the largest child; the
-    # key compares the Python floats the objective returned, and since the
-    # planned coordinates of a division ascend, j breaks ties as they would
-    ranked: list[int] = []
-    start = 0
-    for k in counts.tolist():
-        end = start + k
-        ranked += sorted(range(start, end), key=lambda j: (min(values[2 * j], values[2 * j + 1]), j))
-        start = end
-    order = np.array(ranked, dtype=np.intp)
-    rows = np.stack((2 * order, 2 * order + 1), axis=1).ravel()
-    coords = plan.coords[order]
-    f = np.array(values)[rows]
-
-    owner = np.arange(ids.size).repeat(counts)
-    # rank of each cut within its division; a child has the parent's levels
-    # plus one on every side cut up to and including its own cut
-    rank = np.arange(order.size) - (counts.cumsum() - counts)[owner]
-    cut_rank = np.full((ids.size, ledger.dim), ledger.dim)
-    cut_rank[owner, coords] = rank
-    levels = ledger.levels[ids]
-    child_levels = (levels[owner] + (cut_rank[owner] <= rank[:, None])).repeat(2, axis=0)
-    parent_levels = levels + (cut_rank < ledger.dim)
-
-    slopes = ledger.slopes[ids]
-    child_slopes = slopes.repeat(2 * counts, axis=0)
-    child_slopes[np.arange(f.size), coords.repeat(2)] = (
-        np.abs(f - ledger.values[ids][owner].repeat(2)) / deltas[owner].repeat(2)
-    )
-    slopes[owner, coords] = np.abs(f[0::2] - f[1::2]) / (2.0 * deltas[owner])
+    values, ids, coords = plan.values, plan.parent_ids, plan.coords.tolist()
+    parent_levels = ledger.levels[ids].tolist()
+    parent_slopes = ledger.slopes[ids].tolist()
+    rows: list[int] = []
+    child_levels: list[list[int]] = []
+    child_slopes: list[list[float]] = []
+    start = kept = 0
+    for pid, level, slope, f_parent, k, delta in zip(
+        ids.tolist(), parent_levels, parent_slopes, ledger.values[ids].tolist(),
+        plan.counts.tolist(), plan.deltas.tolist(),
+    ):
+        if 2 * (start + k) > len(values):
+            break
+        if not delta:
+            # at MAX_LEVEL the box has no width left to form a difference over
+            raise ZeroDivisionError(f"partition {pid} is below float resolution: delta is 0")
+        # the best new point is cut first, so it lands in the largest child; the
+        # key compares the Python floats the objective returned, and since the
+        # planned coordinates of a division ascend, j breaks ties as they would
+        ranked = sorted(range(start, start + k), key=lambda j: (min(values[2 * j], values[2 * j + 1]), j))
+        # level and slope turn into the parent's new rows in place; every
+        # child starts from the parent's pre-division slope row
+        inherited = slope.copy()
+        for j in ranked:
+            p = coords[j]
+            # a child has the parent's levels with every side cut so far, its own cut included
+            level[p] += 1
+            for row in (2 * j, 2 * j + 1):
+                rows.append(row)
+                child_levels.append(level.copy())
+                child = inherited.copy()
+                child[p] = abs(values[row] - f_parent) / delta
+                child_slopes.append(child)
+            slope[p] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * delta)
+        start += k
+        kept += 1
     return ledger.divide(
-        ids, plan.points[rows], f,
-        np.concatenate((parent_levels, child_levels)), np.concatenate((slopes, child_slopes)),
+        ids[:kept], plan.points[rows], np.array([values[row] for row in rows]),
+        np.array(parent_levels[:kept] + child_levels, dtype=np.intp).reshape(-1, ledger.dim),
+        np.array(parent_slopes[:kept] + child_slopes).reshape(-1, ledger.dim),
     )

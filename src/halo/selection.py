@@ -3,17 +3,21 @@
 Two families are implemented: the lower-bound criteria driven by local
 Lipschitz constant estimates (used by the halo and hlo variants), and the
 potentially-optimal-hyperrectangle rule of the classical dividing-
-rectangles baseline.
+rectangles baseline.  The lower-bound selection of a run carries its
+bounds from one iteration to the next (``CarriedBounds``), so an
+iteration recomputes only the rows it changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .geometry import PartitionLedger
-from .lipschitz import lower_bounds
+from .lipschitz import blend_constants, lower_bounds
 
 
 @dataclass
@@ -26,34 +30,90 @@ class SelectionOutcome:
     largest_best: int
 
 
-def select_halo(ledger: PartitionLedger, constants) -> SelectionOutcome:
+@dataclass
+class CarriedBounds:
+    """What ``select_halo`` keeps from one call to the next on one ledger.
+
+    ``blend`` says what the ``constants`` of every call are: with
+    ``blend``, the global constant, which ``blend_constants`` turns into
+    one constant per partition (``halo``); without, the constants
+    themselves (``hlo`` passes the global constant for every partition).
+    ``select_halo`` writes the other fields: the lower bound of each of
+    the ``count`` rows it saw, computed with the constants whose bits are
+    ``key`` (None when they were not a single float), the ids it chose,
+    the lowest-value winner and the ids of the shallowest depth class.
+    """
+
+    blend: bool = False
+    key: Optional[bytes] = None
+    count: int = 0
+    bounds: np.ndarray = field(default_factory=lambda: np.empty(0))
+    chosen: list[int] = field(default_factory=list)
+    lowest_value: int = 0
+    depth: int = 0
+    shallow: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
+
+
+def select_halo(ledger: PartitionLedger, constants, carried: Optional[CarriedBounds] = None) -> SelectionOutcome:
     """Select partitions per the three lower-bound criteria.
 
     ``constants`` holds one Lipschitz constant per partition, or a single
-    one for all of them.
+    one for all of them (see ``CarriedBounds.blend`` for the global
+    constant of a ``halo`` run).
 
     Criterion 1: the lowest lower bound over all partitions.
     Criterion 2: the lowest objective value.
     Criterion 3: among the largest partitions (least depth, so maximal half
     diagonal), the lowest lower bound.
 
-    Argmin ties break toward the lowest id.  The outcome names each
-    criterion's winner (``lowest_bound``, ``lowest_value``,
-    ``largest_best``); ``chosen`` lists them in criterion order 1, 2, 3
-    with duplicates merged, so it never holds more than three ids.
+    Argmin ties break toward the lowest id, and a NaN wins an argmin as in
+    ``np.argmin``.  The outcome names each criterion's winner
+    (``lowest_bound``, ``lowest_value``, ``largest_best``); ``chosen``
+    lists them in criterion order 1, 2, 3 with duplicates merged, so it
+    never holds more than three ids.
+
+    ``carried`` is the state of the previous call on the same ledger; a
+    fresh one (the default) makes this call a full scan.  Between two
+    calls with one state the caller may append rows and rewrite the
+    levels and slopes of ids the earlier call chose, and nothing else, as
+    the solver loop does.  A row's bound depends only on the row and the
+    constants, and values never change, so when the single constant keeps
+    its bits only the chosen ids and the new rows get new bounds;
+    otherwise every row does.  Criterion 2 compares the previous winner
+    with the new rows.  Criterion 3 drops the ids of the shallowest class
+    whose depth rose and scans the depths again only when the class
+    empties: a new row is always deeper than its parent was, so it never
+    joins the class.
     """
     if len(ledger) == 0:
         raise ValueError("ledger is empty")
-    values = ledger.values
-    depths = ledger.depths
-    bounds = lower_bounds(ledger, constants)
+    state = CarriedBounds() if carried is None else carried
+    count, seen = len(ledger), state.count
+    values, depths = ledger.values, ledger.depths
+    key = struct.pack("<d", constants) if isinstance(constants, float) else None
+    tail = list(range(seen, count))
+    # constants other than one float have no key, so every call refreshes every row
+    rows = np.array(state.chosen + tail) if seen and key is not None and key == state.key else slice(None)
+    if state.bounds.size < count:
+        state.bounds = np.concatenate((state.bounds, np.empty(max(state.bounds.size, count))))
+    bounds = state.bounds[:count]
+    local = blend_constants(ledger, constants, rows) if state.blend else constants
+    bounds[rows] = lower_bounds(ledger, local, rows)
 
     q1 = int(np.argmin(bounds))
-    q2 = int(np.argmin(values))
-    in_max = np.flatnonzero(depths == depths.min())
-    q3 = int(in_max[np.argmin(bounds[in_max])])
+    # the previous winner (row 0 for a fresh state, whose tail is every row)
+    # comes first, so ties and a first NaN still go to the lowest id
+    candidates = [state.lowest_value] + tail
+    q2 = candidates[int(np.argmin(values[candidates]))]
+    shallow = state.shallow[depths[state.shallow] == state.depth]
+    if shallow.size == 0:
+        state.depth = int(depths.min())
+        shallow = np.flatnonzero(depths == state.depth)
+    q3 = int(shallow[np.argmin(bounds[shallow])])
 
-    return SelectionOutcome(list(dict.fromkeys((q1, q2, q3))), q1, q2, q3)
+    chosen = list(dict.fromkeys((q1, q2, q3)))
+    state.key, state.count, state.chosen, state.lowest_value, state.shallow = key, count, chosen, q2, shallow
+    return SelectionOutcome(chosen, q1, q2, q3)
 
 
 def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> list[int]:

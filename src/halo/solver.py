@@ -15,10 +15,10 @@ from typing import Optional
 import numpy as np
 
 from .geometry import ObjectiveError, ObjectiveHandle, PartitionLedger, StopRule
-from .lipschitz import blend_constants, global_slope_max
+from .lipschitz import global_slope_max
 from .local_search import RUN, SELECT_FOR_DIVISION, gate_local_search, start_local_search
 from .partitioning import divide_partition, evaluate_samples, init_root, plan_samples
-from .selection import select_halo, select_potentially_optimal
+from .selection import CarriedBounds, select_halo, select_potentially_optimal
 
 VARIANTS = ("halo", "hlo", "direct")
 
@@ -153,6 +153,8 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
             ledger=ledger,
         )
 
+    # hlo replaces every local constant by the global one
+    carried = CarriedBounds(blend=cfg.variant == "halo")
     excluded: set[int] = set()  # partitions near which no local search may start
     pending: list[int] = []  # partitions chosen for division, not yet sampled
     budget_hit = False
@@ -188,9 +190,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                     break
                 seeds, largest = (), None
             else:
-                # hlo replaces every local constant by the global one
-                constants = blend_constants(ledger, g_const) if cfg.variant == "halo" else g_const
-                outcome = select_halo(ledger, constants)
+                outcome = select_halo(ledger, g_const, carried)
                 chosen, largest = outcome.chosen, outcome.largest_best
                 seeds = (outcome.lowest_bound, outcome.lowest_value) if cfg.local_search_enabled else ()
 

@@ -236,3 +236,32 @@ def test_report_rejects_a_malformed_row_before_writing(tmp_path, tmp_path_factor
     assert result.exit_code == 2, result.output
     assert field in result.output
     assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_rejects_an_out_that_would_overwrite_its_manifest(tmp_path):
+    manifest = tmp_path / "m.jsonl"
+    invoke("gen", "--family", "schoen", "--n", "2", "--count", "2", "--out", str(manifest))
+    before = manifest.read_bytes()
+    for ref in (f"{manifest}#0", str(manifest)):
+        result = CliRunner().invoke(main, ["solve", "--problem", ref, "--budget", "50", "--out", str(manifest)])
+        assert result.exit_code == 2, result.output
+        assert "manifest" in result.output
+    assert list(tmp_path.iterdir()) == [manifest]
+    assert manifest.read_bytes() == before
+
+
+@pytest.mark.parametrize("oc_name, importance_name", [("r.json", None), (None, "r.json"), ("o.csv", "o.csv"),
+                                                      ("o.csv", "r.json")])
+def test_report_rejects_an_output_that_would_overwrite_a_file_it_uses(tmp_path, oc_name, importance_name):
+    report_path = tmp_path / "r.json"
+    report_path.write_text(json.dumps({"aggregate": REPORT_AGGREGATE, "rows": [{**REPORT_ROW, "importance": [1.0]}]}))
+    before = report_path.read_bytes()
+    args = ["report", "--in", str(report_path)]
+    if oc_name:
+        args += ["--oc-csv", str(tmp_path / oc_name)]
+    if importance_name:
+        args += ["--importance-csv", str(tmp_path / importance_name)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert list(tmp_path.iterdir()) == [report_path]
+    assert report_path.read_bytes() == before

@@ -1,11 +1,14 @@
+import struct
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import halo.solver
 from halo.geometry import PartitionLedger, StopRule
 from halo.lipschitz import blend_constants, global_slope_max, lower_bounds
-from halo.selection import select_halo, select_potentially_optimal
+from halo.selection import CarriedBounds, select_halo, select_potentially_optimal
 from halo.solver import SolverConfig, run
 
 from conftest import class_diagonals, random_ledger, random_levels, random_objective, unit_handle
@@ -279,3 +282,80 @@ def test_potentially_optimal_matches_per_class_loop_along_a_direct_run(monkeypat
     cfg = SolverConfig(variant="direct", stop=StopRule(max_fun_evals=2000))
     run(unit_handle(random_objective(0, 4), 4), cfg)
     assert any(split_classes)
+
+
+def edge_objective(seed: int, n: int, kind: str):
+    """``random_objective``, or a variant of it with ties, signed zeros, a plateau or a non-finite region."""
+    f = random_objective(seed, n)
+    cut = float(np.random.default_rng(seed).uniform(0.2, 0.8))
+    special = {"plateau": 1.0, "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
+    if kind == "smooth":
+        return f
+    if kind == "ties":
+        return lambda x: float(np.round(f(x)))
+    if kind == "signed-zero":
+        return lambda x: -0.0 if x[0] > cut else 0.0
+    return lambda x: special[kind] if x[0] > cut else f(x)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=4),
+    budget=st.integers(min_value=1, max_value=600),
+    variant=st.sampled_from(("halo", "hlo")),
+    kind=st.sampled_from(("smooth", "ties", "signed-zero", "plateau", "nan", "inf", "-inf")),
+)
+@settings(max_examples=60, deadline=None)
+def test_carried_selection_matches_a_fresh_full_scan(seed, n, budget, variant, kind):
+    # every selection of the run, checked against a fresh state's full scan
+    calls = []
+
+    def checked(ledger, constants, carried):
+        fresh = CarriedBounds(blend=carried.blend)
+        expected = select_halo(ledger, constants, fresh)
+        got = select_halo(ledger, constants, carried)
+        assert got == expected
+        assert carried.bounds[: len(ledger)].tobytes() == fresh.bounds[: len(ledger)].tobytes()
+        calls.append(got)
+        return got
+
+    cfg = SolverConfig(variant=variant, beta=1e-2, stop=StopRule(max_fun_evals=budget))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore", over="ignore"):
+        mp.setattr(halo.solver, "select_halo", checked)
+        trace = run(unit_handle(edge_objective(seed, n, kind), n), cfg)
+    assert len(calls) == len(trace.iterations) + (trace.status == "solved")
+
+
+def test_fresh_state_matches_the_explicit_constants():
+    # the carried halo state blends the global constant as blend_constants does
+    ledger = random_ledger(np.random.default_rng(5), 3, 30)
+    g = global_slope_max(ledger)
+    assert select_halo(ledger, g, CarriedBounds(blend=True)) == select_halo(ledger, blend_constants(ledger, g))
+
+
+def test_refresh_touches_only_the_written_rows_while_g_keeps_its_bits(monkeypatch):
+    refreshed, seen = [], []
+
+    def recording_bounds(ledger, constants, rows=slice(None)):
+        refreshed.append(rows)
+        return lower_bounds(ledger, constants, rows)
+
+    def recording_select(ledger, constants, carried):
+        seen.append((struct.pack("<d", constants), carried.count, list(carried.chosen), len(ledger)))
+        return select_halo(ledger, constants, carried)
+
+    monkeypatch.setattr(halo.selection, "lower_bounds", recording_bounds)
+    monkeypatch.setattr(halo.solver, "select_halo", recording_select)
+    cfg = SolverConfig(variant="halo", stop=StopRule(max_fun_evals=3000))
+    run(unit_handle(random_objective(0, 3), 3), cfg)
+    assert len(refreshed) == len(seen)
+    kept = 0
+    # seen[i] holds the key of call i and what call i - 1 left: its row count and chosen ids
+    for (key_before, _, _, _), (key, count, chosen, size), rows in zip(seen, seen[1:], refreshed[1:]):
+        if key == key_before:
+            kept += 1
+            assert rows.tolist() == chosen + list(range(count, size))
+        else:
+            assert rows == slice(None)
+    assert refreshed[0] == slice(None)
+    assert 0 < kept < len(seen) - 1
