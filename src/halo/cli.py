@@ -45,6 +45,24 @@ def _load_manifest(path) -> list[dict]:
         raise click.UsageError(str(err)) from None
 
 
+def _check_outputs(outputs, inputs=()) -> None:
+    """Reject, before any work, an output that would overwrite a file or has no directory.
+
+    ``outputs`` and ``inputs`` are ``(label, path)`` pairs; an output whose
+    path is ``None`` is not written and not checked.
+    """
+    seen = {Path(path).resolve(): f"{label} {path}" for label, path in inputs}
+    for label, path in outputs:
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in seen:
+            raise click.UsageError(f"the {label} {path} would overwrite the {seen[resolved]}")
+        if not resolved.parent.is_dir():
+            raise click.UsageError(f"the {label} {path} has no directory {resolved.parent}")
+        seen[resolved] = f"{label} {path}"
+
+
 def _resolve_problem(ref: str, n: int, seed: int):
     """A problem name ('branin', 'schoen') or a manifest ref 'path#index'."""
     path, _, index = ref.partition("#")
@@ -89,20 +107,13 @@ def main():
 def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
     """Run one problem and print the outcome."""
     path = problem.partition("#")[0]
-    if out and os.path.isfile(path) and Path(out).resolve() == Path(path).resolve():
-        raise click.UsageError(f"the trace {out} would overwrite the manifest {path}")
+    _check_outputs([("trace", out)], [("manifest", path)] if os.path.isfile(path) else [])
     prob = _resolve_problem(problem, n, seed)
     cfg = _solver_config(variant, budget, beta, tol, local_search)
     handle = prob.make_handle()
     trace = run(handle, cfg)
     if out:
-        write_jsonl(
-            out,
-            (
-                {"eval_index": r.index, "value": r.value, "best": r.best}
-                for r in trace.evals
-            ),
-        )
+        write_jsonl(out, ({"eval_index": r.index, "value": r.value, "best": r.best} for r in trace.evals))
     record = record_from_trace(prob.name, prob.n, variant, trace, prob.known_optimum)
     click.echo(f"problem={prob.name} n={prob.n} variant={variant}")
     click.echo(f"status={trace.status} evals={trace.n_evals} best={fmt_float(trace.best_value)}")
@@ -124,10 +135,7 @@ def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
 def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
     """Run a whole manifest and write the report (JSON plus flat CSV)."""
     csv_path = str(Path(out).with_suffix(".csv"))
-    if len({Path(p).resolve() for p in (manifest_path, out, csv_path)}) < 3:
-        raise click.UsageError(
-            f"the report {out}, its table {csv_path} and the manifest {manifest_path} must be three different files"
-        )
+    _check_outputs([("report", out), ("table", csv_path)], [("manifest", manifest_path)])
     records = _load_manifest(manifest_path)
     cfg = _solver_config(variant, budget, beta, tol, local_search)
     report = run_benchmark(records, cfg, parallelism=jobs)
@@ -185,9 +193,7 @@ def _load_reports(paths, show_auoc: bool):
 @click.option("--importance-csv", type=click.Path(dir_okay=False), default=None)
 def report(inputs, show_auoc, oc_csv, importance_csv):
     """Summarize one or more benchmark reports."""
-    outputs = [Path(p).resolve() for p in (oc_csv, importance_csv) if p]
-    if len(set(outputs)) < len(outputs) or set(outputs) & {Path(p).resolve() for p in inputs}:
-        raise click.UsageError("--oc-csv and --importance-csv must be two different files, neither of them an --in report")
+    _check_outputs([("--oc-csv", oc_csv), ("--importance-csv", importance_csv)], [("--in report", p) for p in inputs])
     loaded = _load_reports(inputs, show_auoc)
     all_rows = []
     for line, rows, _ in loaded:
@@ -200,13 +206,8 @@ def report(inputs, show_auoc, oc_csv, importance_csv):
         write_csv(oc_csv, ("gamma", "c"), [(g, curve.value(g)) for g in grid])
         click.echo(f"oc={oc_csv}")
     if importance_csv:
-        rows_out = []
-        for _, rows, _ in loaded:
-            for r in rows:
-                if r.importance is None:
-                    continue
-                for coord, value in enumerate(r.importance):
-                    rows_out.append((r.problem, r.variant, coord, value))
+        rows_out = [(r.problem, r.variant, coord, value)
+                    for r in all_rows for coord, value in enumerate(r.importance or ())]
         write_csv(importance_csv, ("problem", "variant", "coordinate", "importance"), rows_out)
         click.echo(f"importance={importance_csv}")
 
@@ -219,6 +220,7 @@ def report(inputs, show_auoc, oc_csv, importance_csv):
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def gen(family, n, count, seed, out):
     """Generate a problem manifest."""
+    _check_outputs([("manifest", out)])
     if family == "schoen":
         if count is None:
             raise click.UsageError("--count is required for the schoen family")

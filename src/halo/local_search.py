@@ -6,7 +6,8 @@ exclusion radius.  ``gate_local_search`` decides; ``start_local_search``
 owns the rest of the policy (exclusion ball, budget cap, first step) and
 runs the search.  The optimizer itself is a cyclic coordinate search with
 an Armijo-style sufficient-decrease test and per-coordinate step control,
-projected onto the unit cube.
+projected onto the unit cube.  A box's half diagonal is the ledger's cached
+column, the one selection reads, so no step here calls BLAS.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import HALF_SIDES, ObjectiveHandle, OnEval, PartitionLedger
+from .geometry import ObjectiveHandle, OnEval, PartitionLedger
 
 RUN = "run"
 SELECT_FOR_DIVISION = "select_for_division"
@@ -43,11 +44,6 @@ class LocalResult:
     converged: bool
 
 
-def _half_diagonal(ledger: PartitionLedger, pid: int) -> float:
-    # the 1-d norm, which can differ from half_diagonals() in the last bit
-    return float(np.linalg.norm(HALF_SIDES[ledger.levels[pid]]))
-
-
 def gate_local_search(candidate_id: int, ledger: PartitionLedger, excluded: set[int], beta: float) -> str:
     """Decide what to do with a lowest-bound or lowest-value winner.
 
@@ -56,9 +52,10 @@ def gate_local_search(candidate_id: int, ledger: PartitionLedger, excluded: set[
     lies within ``EXCLUSION_RADIUS`` of its center; otherwise the candidate
     joins ``excluded`` and is neither sampled nor divided this iteration.
     The gate only decides: ``start_local_search`` collects the exclusion
-    ball of a search it lets run.
+    ball of a search it lets run.  Both read the half diagonal from
+    ``ledger.half_diagonals()``.
     """
-    if _half_diagonal(ledger, candidate_id) > beta:
+    if ledger.half_diagonals()[candidate_id] > beta:
         return SELECT_FOR_DIVISION
     if candidate_id in excluded:
         # a member's own center lies at distance 0 from the set
@@ -96,7 +93,7 @@ def start_local_search(
         obj,
         center,
         budget=min(budget, LOCAL_SEARCH_BUDGET_PER_DIM * ledger.dim),
-        initial_step=max(1e-3, _half_diagonal(ledger, candidate_id)),
+        initial_step=max(1e-3, float(ledger.half_diagonals()[candidate_id])),
         f0=float(ledger.values[candidate_id]),
         on_eval=on_eval,
     )

@@ -1,0 +1,79 @@
+"""The solver's evaluation trace does not depend on the BLAS kernel.
+
+numpy sends a 1-D ``np.linalg.norm``, ``np.dot`` and ``@`` to BLAS, and
+OpenBLAS picks its kernel for the host; the kernels round differently.  No
+solver step may call BLAS, so a solve gives the same trace under the
+host's kernel and under the oldest x86-64 one, which ``OPENBLAS_CORETYPE``
+forces.  The objectives here are shifted rastrigin and ackley, which call
+no BLAS themselves.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+import pathlib
+import platform
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+SOLVER_MODULES = ("geometry", "partitioning", "lipschitz", "selection", "local_search", "solver")
+
+# case id -> (classical function, dimension, variant, beta); each is shifted
+# with seed 3 and spends 3,000 evaluations with no early stop
+CASES = {
+    "rastrigin6/halo": ("rastrigin", 6, "halo", 0.03),
+    "ackley8/halo": ("ackley", 8, "halo", 0.1),
+}
+
+SCRIPT = """
+import sys
+from halo.geometry import StopRule
+from halo.solver import SolverConfig, run
+from test_trace_digest import shifted_handle, trace_digest
+name, n, variant, beta = sys.argv[1], int(sys.argv[2]), sys.argv[3], float(sys.argv[4])
+cfg = SolverConfig(variant=variant, beta=beta, stop=StopRule(max_fun_evals=3000))
+print(trace_digest(run(shifted_handle(name, n, 3)(), cfg)))
+"""
+
+
+def _numpy_on_openblas() -> bool:
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def digest_under(case: str, coretype: str | None) -> str:
+    """Trace digest of ``case`` in a fresh interpreter, with ``coretype`` forced if given."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    args = [str(a) for a in CASES[case]]
+    out = subprocess.run([sys.executable, "-c", SCRIPT, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.strip()
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_on_openblas(),
+                    reason="OPENBLAS_CORETYPE selects kernels only for numpy on OpenBLAS on x86-64")
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trace_is_the_same_under_every_blas_kernel(case):
+    assert digest_under(case, None) == digest_under(case, "Prescott")
+
+
+def test_no_solver_step_calls_blas():
+    # np.linalg.norm reaches BLAS only without axis=; dot and matmul always do
+    calls = [f"{m}.py:{node.lineno}"
+             for m in SOLVER_MODULES
+             for node in ast.walk(ast.parse((ROOT / "src" / "halo" / f"{m}.py").read_text()))
+             if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+             or isinstance(node, ast.Call) and (
+                 ast.unparse(node.func) == "np.linalg.norm" and not any(k.arg == "axis" for k in node.keywords)
+                 or ast.unparse(node.func).split(".")[-1] in ("dot", "matmul", "vdot", "inner"))]
+    assert calls == []

@@ -265,3 +265,19 @@ def test_report_rejects_an_output_that_would_overwrite_a_file_it_uses(tmp_path, 
     assert result.exit_code == 2, result.output
     assert list(tmp_path.iterdir()) == [report_path]
     assert report_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("args", [
+    ("solve", "--problem", "sphere", "--budget", "50", "--out", "{missing}/t.jsonl"),
+    ("bench", "--manifest", str(BENCH_DIR / "classical20.jsonl"), "--budget", "50", "--out", "{missing}/r.json"),
+    ("report", "--in", "{report}", "--oc-csv", "{missing}/oc.csv"),
+    ("gen", "--family", "classical", "--n", "2", "--out", "{missing}/m.jsonl"),
+], ids=["solve", "bench", "report", "gen"])
+def test_an_output_in_a_missing_directory_is_a_usage_error_before_any_work(tmp_path, tmp_path_factory, args):
+    report_path = tmp_path_factory.mktemp("inputs") / "r.json"
+    report_path.write_text(json.dumps({"aggregate": REPORT_AGGREGATE, "rows": [REPORT_ROW]}))
+    args = [a.format(missing=tmp_path / "missing", report=report_path) for a in args]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "no directory" in result.output
+    assert list(tmp_path.iterdir()) == []

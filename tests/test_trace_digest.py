@@ -5,7 +5,14 @@ Each case runs one solve and hashes every evaluation the way
 then the normalized point as little-endian float64.  A change anywhere in
 selection, sampling, division, slope bookkeeping or local search that moves
 a single evaluation, even in its last bit, changes a digest.  The digests
-were recorded once and are frozen here.
+were recorded once, on an x86-64 host with AVX-512, and are frozen here.
+
+The solver calls no BLAS (``test_blas_kernel.py``), but an objective may.
+The schoen cases call ``np.dot``, which OpenBLAS computes, and ``np.exp``;
+``classical20#3`` (a shifted ackley) calls ``np.exp``, whose SIMD kernel
+numpy picks for the host.  Those digests can differ on a host whose kernels
+round differently.  The rastrigin cases use only ``np.cos`` and held under
+every OpenBLAS kernel and numpy SIMD setting tried.
 """
 
 from __future__ import annotations
@@ -40,11 +47,13 @@ def deep_rastrigin_handle():
     return ObjectiveHandle(lambda x: float(rastrigin(x)), BoxDomain([-5.12] * 2, [5.12] * 2))
 
 
-def rastrigin8_handle():
-    # n >= 8: numpy's row reductions switch to pairwise summation here
-    handle = shift_minimizer(classical_problem("rastrigin", 8), seed=1).make_handle()
-    handle.known_optimum = None
-    return handle
+def shifted_handle(name: str, n: int, seed: int):
+    def build():
+        handle = shift_minimizer(classical_problem(name, n), seed=seed).make_handle()
+        handle.known_optimum = None
+        return handle
+
+    return build
 
 
 # case id -> (handle builder, variant, budget, beta, local search on)
@@ -62,8 +71,12 @@ CASES = {
     "classical20#12/hlo": (manifest_handle("classical20.jsonl", 12), "hlo", 1500, 1e-2, True),
     "classical20#12/direct": (manifest_handle("classical20.jsonl", 12), "direct", 1500, 1e-4, True),
     "rastrigin2-deep/halo": (deep_rastrigin_handle, "halo", 3000, 1e-4, False),
-    "rastrigin8/halo": (rastrigin8_handle, "halo", 2000, 1e-1, True),
-    "rastrigin8/direct": (rastrigin8_handle, "direct", 2000, 1e-4, True),
+    # n >= 8: numpy's row reductions switch to pairwise summation here
+    "rastrigin8/halo": (shifted_handle("rastrigin", 8, 1), "halo", 2000, 1e-1, True),
+    "rastrigin8/direct": (shifted_handle("rastrigin", 8, 1), "direct", 2000, 1e-4, True),
+    # beta 0.03 > 1e-3, so a local search's first step is the box's own half diagonal
+    "rastrigin6-shift3/halo": (shifted_handle("rastrigin", 6, 3), "halo", 3000, 3e-2, True),
+    "rastrigin8-shift3/hlo": (shifted_handle("rastrigin", 8, 3), "hlo", 3000, 3e-2, True),
 }
 
 GOLDEN = {
@@ -82,6 +95,8 @@ GOLDEN = {
     "rastrigin2-deep/halo": "ee382cd1905d7243eee5d79082a3be15a50d13f5b83b4802e223eab20dabbed7",
     "rastrigin8/halo": "19b8dbc573227a947d253ce3b4d264fa1898b56f1572b06e3cc2caa0e95fba30",
     "rastrigin8/direct": "f9765f825cff08c9e220eb633a8778997c4913228ba61635d4c9ade0a7a04e72",
+    "rastrigin6-shift3/halo": "16444329a8de292ac6100ce5e3b21aeeec5b49e2e9e1d897811f5b9f6a1ab1f0",
+    "rastrigin8-shift3/hlo": "edfab856acc0194120f1d22335a632f075abc5a4446f112cbd541c7d9e1dbb7c",
 }
 
 
