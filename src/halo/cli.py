@@ -30,10 +30,10 @@ from .serialize import fmt_float, read_json, write_csv, write_json, write_jsonl
 from .solver import VARIANTS, SolverConfig, run
 
 
-def _solver_config(variant, budget, beta, tol, local_search) -> SolverConfig:
+def _solver_config(variant, budget, beta, tol) -> SolverConfig:
     try:  # FloatRange lets NaN through; the library rejects it
         stop = StopRule(max_fun_evals=budget, rel_error_tol=tol)
-        return SolverConfig(variant=variant, beta=beta, stop=stop, local_search_enabled=local_search)
+        return SolverConfig(variant=variant, beta=beta, stop=stop)
     except ValueError as err:
         raise click.UsageError(str(err)) from None
 
@@ -98,18 +98,17 @@ def main():
 @click.option("--problem", required=True, help="Function name, 'schoen', or manifest ref path#index.")
 @click.option("--variant", type=click.Choice(VARIANTS), default=SolverConfig.variant, show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=StopRule.max_fun_evals, show_default=True, help="Maximum function evaluations.")
-@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search.")
+@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search; 0 turns local search off.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for generated problems.")
 @click.option("--n", type=click.IntRange(min=1), default=2, show_default=True, help="Dimension for generic problems.")
 @click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=StopRule.rel_error_tol, show_default=True, help="Relative error tolerance.")
-@click.option("--local-search/--no-local-search", default=SolverConfig.local_search_enabled, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Write the evaluation trace (JSONL).")
-def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
+def solve(problem, variant, budget, beta, seed, n, tol, out):
     """Run one problem and print the outcome."""
     path = problem.partition("#")[0]
     _check_outputs([("trace", out)], [("manifest", path)] if os.path.isfile(path) else [])
     prob = _resolve_problem(problem, n, seed)
-    cfg = _solver_config(variant, budget, beta, tol, local_search)
+    cfg = _solver_config(variant, budget, beta, tol)
     handle = prob.make_handle()
     trace = run(handle, cfg)
     if out:
@@ -127,17 +126,16 @@ def solve(problem, variant, budget, beta, seed, n, tol, local_search, out):
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--variant", type=click.Choice(VARIANTS), default=SolverConfig.variant, show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=StopRule.max_fun_evals, show_default=True)
-@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True)
+@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search; 0 turns local search off.")
 @click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=StopRule.rel_error_tol, show_default=True)
-@click.option("--local-search/--no-local-search", default=SolverConfig.local_search_enabled, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Report document path (.json).")
-def bench(manifest_path, variant, budget, beta, tol, local_search, jobs, out):
+def bench(manifest_path, variant, budget, beta, tol, jobs, out):
     """Run a whole manifest and write the report (JSON plus flat CSV)."""
     csv_path = str(Path(out).with_suffix(".csv"))
     _check_outputs([("report", out), ("table", csv_path)], [("manifest", manifest_path)])
     records = _load_manifest(manifest_path)
-    cfg = _solver_config(variant, budget, beta, tol, local_search)
+    cfg = _solver_config(variant, budget, beta, tol)
     report = run_benchmark(records, cfg, parallelism=jobs)
     report.metadata["manifest"] = str(manifest_path)
     write_json(out, report.to_document())

@@ -14,6 +14,7 @@ an integer level per side: a side cut ``l`` times has half length
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -302,6 +303,11 @@ class StopRule:
     max_iter: int = 10_000_000
 
     def __post_init__(self):
+        for name in ("max_fun_evals", "max_iter"):
+            value = getattr(self, name)
+            # bool is an Integral; numpy integers are accepted
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         # written so that a NaN tolerance fails too
         if self.max_fun_evals < 1 or self.max_iter < 1 or not self.rel_error_tol > 0.0:
             raise ValueError("stop rule fields must be strictly positive")

@@ -188,7 +188,6 @@ def build_report(rows: list[RunRecord], cfg: SolverConfig) -> BenchmarkReport:
         "exclusion_radius": EXCLUSION_RADIUS,
         "max_fun_evals": cfg.stop.max_fun_evals,
         "rel_error_tol": cfg.stop.rel_error_tol,
-        "local_search_enabled": cfg.local_search_enabled,
         "direct_epsilon_rel": DIRECT_EPSILON_REL,
         "average_evals_note": "average over solved runs only; failed runs excluded",
     }

@@ -33,12 +33,11 @@ DIRECT_EPSILON_REL = 1e-4
 
 @dataclass
 class SolverConfig:
-    """Knobs of a solver run; variant-specific fields are ignored elsewhere."""
+    """Knobs of a solver run; ``beta`` gates the local search of halo/hlo, and 0 turns it off."""
 
     variant: str = "halo"
     beta: float = 1e-4
     stop: StopRule = field(default_factory=StopRule)
-    local_search_enabled: bool = True
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -67,7 +66,10 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Full record of a run; ``best`` is nonincreasing along ``evals``."""
+    """Full record of a run; ``best`` is nonincreasing along ``evals``.
+
+    Points are in normalized [0, 1]^N units; ``handle.to_problem_units(trace.best_point)`` maps back.
+    """
 
     evals: list[EvalRecord]
     iterations: list[IterationRecord]
@@ -101,9 +103,9 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     """Run the configured variant on ``obj`` until a stop rule fires.
 
     Each iteration has three steps.  Select: choose partitions from the
-    current ledger snapshot.  Refine (halo/hlo only): a lowest-bound or
-    lowest-value winner goes through ``gate_local_search``; if the gate
-    lets it run, the divisions pending so far are made and
+    current ledger snapshot.  Refine (halo/hlo, off at ``beta = 0``): a
+    lowest-bound or lowest-value winner goes through ``gate_local_search``;
+    if the gate lets it run, the divisions pending so far are made and
     ``start_local_search`` runs from it.  Divide: every other chosen
     partition, and the largest-box winner in any case, is sampled, divided
     and has its slopes refreshed, in blocks: all of an iteration's, or,
@@ -192,7 +194,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
             else:
                 outcome = select_halo(ledger, g_const, carried)
                 chosen, largest = outcome.chosen, outcome.largest_best
-                seeds = (outcome.lowest_bound, outcome.lowest_value) if cfg.local_search_enabled else ()
+                seeds = (outcome.lowest_bound, outcome.lowest_value)
 
             # Divisions wait in one block until the iteration ends or a local
             # search starts: the search's exclusion ball must see their

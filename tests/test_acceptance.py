@@ -13,8 +13,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import halo.solver
 from halo.geometry import HALF_SIDES, BoxDomain, ObjectiveHandle, StopRule
 from halo.lipschitz import blend, blend_constants, global_slope_max
+from halo.local_search import SELECT_FOR_DIVISION
 from halo.manifest import load_manifest
 from halo.metrics import auoc, run_benchmark, step_curve, variable_importance
 from halo.metrics import RunRecord
@@ -148,7 +150,7 @@ def test_criterion_5_denseness():
         h = ObjectiveHandle(
             lambda x: float(rastrigin(x)), BoxDomain([-5.12, -5.12], [5.12, 5.12])
         )
-        cfg = SolverConfig(variant="halo", local_search_enabled=False,
+        cfg = SolverConfig(variant="halo", beta=0.0,
                            stop=StopRule(max_fun_evals=3000))
         trace = run(h, cfg)
         cells = {
@@ -158,19 +160,20 @@ def test_criterion_5_denseness():
         assert trace.ledger.half_diagonals().max() < np.sqrt(2.0) / 2.0
 
 
-def test_criterion_6_local_search_gate():
-    with criterion(6, "beta=0 is bit-identical to disabled; shifted sphere solves in budget"):
+def test_criterion_6_local_search_gate(monkeypatch):
+    with criterion(6, "beta=0 is bit-identical to a gate that divides every box; shifted sphere solves in budget"):
         objective = lambda x: float(np.sum((x - 0.37) ** 2))
         t_zero = run(
             unit_handle(objective, 2),
-            SolverConfig(variant="halo", beta=0.0, local_search_enabled=True,
-                         stop=StopRule(max_fun_evals=800)),
+            SolverConfig(variant="halo", beta=0.0, stop=StopRule(max_fun_evals=800)),
         )
-        t_off = run(
-            unit_handle(objective, 2),
-            SolverConfig(variant="halo", local_search_enabled=False,
-                         stop=StopRule(max_fun_evals=800)),
-        )
+        # a run with no local search: every chosen id is divided, in order
+        with monkeypatch.context() as m:
+            m.setattr(halo.solver, "gate_local_search", lambda *args: SELECT_FOR_DIVISION)
+            t_off = run(
+                unit_handle(objective, 2),
+                SolverConfig(variant="halo", stop=StopRule(max_fun_evals=800)),
+            )
         assert t_zero.n_local_searches == 0
         assert len(t_zero.evals) == len(t_off.evals)
         for a, b in zip(t_zero.evals, t_off.evals):

@@ -88,6 +88,20 @@ def test_bench_output_is_byte_identical_across_runs(tmp_path):
         assert a == b
 
 
+def test_bench_at_beta_zero_starts_no_local_search(tmp_path):
+    manifest = str(BENCH_DIR / "classical20.jsonl")
+    # beta is the only switch for the local search; no flag duplicates it
+    result = CliRunner().invoke(main, ["bench", "--manifest", manifest, "--no-local-search",
+                                       "--out", str(tmp_path / "off.json")])
+    assert result.exit_code == 2, result.output
+    assert list(tmp_path.iterdir()) == []
+    report_path = tmp_path / "beta-0.json"
+    invoke("bench", "--manifest", manifest, "--beta", "0", "--budget", "300", "--out", str(report_path))
+    doc = read_json(report_path)
+    assert doc["metadata"]["beta"] == 0 and "local_search_enabled" not in doc["metadata"]
+    assert [r["n_local_searches"] for r in doc["rows"]] == [0] * 20
+
+
 def test_solve_named_problem_with_trace(tmp_path):
     trace_path = tmp_path / "trace.jsonl"
     out = invoke("solve", "--problem", "branin", "--variant", "direct",

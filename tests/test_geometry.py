@@ -113,6 +113,7 @@ def test_domain_widths_are_computed_once_and_read_only():
 
 def test_stop_rule_validation():
     StopRule()
+    StopRule(max_fun_evals=np.int64(20), max_iter=np.int32(3))
     with pytest.raises(ValueError):
         StopRule(max_fun_evals=0)
     with pytest.raises(ValueError):
@@ -121,6 +122,15 @@ def test_stop_rule_validation():
         StopRule(max_iter=0)
     with pytest.raises(ValueError):
         StopRule(rel_error_tol=float("nan"))
+
+
+@pytest.mark.parametrize("limits", [
+    {"max_iter": 2.5}, {"max_fun_evals": 20.5}, {"max_fun_evals": True}, {"max_iter": False},
+    {"max_fun_evals": 20.0}, {"max_iter": np.bool_(True)}, {"max_fun_evals": "20"},
+])
+def test_stop_rule_rejects_limits_that_are_not_integers(limits):
+    with pytest.raises(ValueError, match="must be an integer"):
+        StopRule(**limits)
 
 
 def test_eval_count_increments_once_per_call():

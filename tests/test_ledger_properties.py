@@ -37,7 +37,7 @@ def tolerance_classes(diags: np.ndarray) -> set[frozenset[int]]:
 )
 @settings(max_examples=60, deadline=None)
 def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_search):
-    cfg = SolverConfig(variant=variant, beta=1e-2, local_search_enabled=local_search,
+    cfg = SolverConfig(variant=variant, beta=1e-2 if local_search else 0.0,
                        stop=StopRule(max_fun_evals=budget))
     trace = run(unit_handle(random_objective(seed, n), n), cfg)
     ledger = trace.ledger

@@ -195,18 +195,3 @@ def test_no_two_starts_within_radius_over_full_run():
     for i in range(len(starts)):
         for j in range(i + 1, len(starts)):
             assert np.linalg.norm(starts[i] - starts[j]) > EXCLUSION_RADIUS
-
-
-def test_beta_zero_trace_bit_identical_to_disabled():
-    fn = lambda x: float(np.sum((x - 0.37) ** 2))
-    h1 = unit_handle(fn, 2)
-    h2 = unit_handle(fn, 2)
-    t1 = run(h1, SolverConfig(variant="halo", beta=0.0, local_search_enabled=True,
-                              stop=StopRule(max_fun_evals=600)))
-    t2 = run(h2, SolverConfig(variant="halo", local_search_enabled=False,
-                              stop=StopRule(max_fun_evals=600)))
-    assert t1.n_local_searches == 0
-    assert len(t1.evals) == len(t2.evals)
-    for a, b in zip(t1.evals, t2.evals):
-        assert a.value == b.value and a.best == b.best
-        assert np.array_equal(a.point, b.point)

@@ -202,7 +202,7 @@ def test_divide_root_1d():
 
 def test_every_sampled_point_becomes_exactly_one_center():
     h = unit_handle(lambda x: float(np.cos(7 * x[0]) + np.sin(5 * x[1])), 2)
-    cfg = SolverConfig(variant="halo", local_search_enabled=False, stop=StopRule(max_fun_evals=300))
+    cfg = SolverConfig(variant="halo", beta=0.0, stop=StopRule(max_fun_evals=300))
     trace = run(h, cfg)
     sampled = [r.point for r in trace.evals]
     centers = trace.ledger.centers
@@ -226,7 +226,7 @@ def test_lowest_new_value_gets_longest_child_diagonal():
 def test_volume_conserved_after_runs():
     for n in (1, 2, 3, 4):
         h = unit_handle(lambda x: float(np.sum(np.sin(3.0 * x) ** 2)), n)
-        cfg = SolverConfig(variant="halo", local_search_enabled=False, stop=StopRule(max_fun_evals=800))
+        cfg = SolverConfig(variant="halo", beta=0.0, stop=StopRule(max_fun_evals=800))
         trace = run(h, cfg)
         assert tiles_cube(trace.ledger)
 

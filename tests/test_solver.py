@@ -42,7 +42,7 @@ def test_budget_one_stops_after_root():
 
 
 def test_check_stop_examples():
-    cfg = SolverConfig(local_search_enabled=False, stop=StopRule(max_fun_evals=500, rel_error_tol=1e-4))
+    cfg = SolverConfig(beta=0.0, stop=StopRule(max_fun_evals=500, rel_error_tol=1e-4))
     # relative error against a nonzero optimum: stops at the first eval within 1e-4,
     # which is 2e-4 in absolute terms here
     trace = run(unit_handle(lambda x: 2.0 + float(x[0] - 0.2) ** 2, 1, known_optimum=2.0), cfg)
@@ -103,7 +103,7 @@ def test_constant_objective_halo_hlo_traces_coincide():
     t = {}
     for variant in ("halo", "hlo"):
         h = unit_handle(lambda x: 2.0, 2)
-        t[variant] = run(h, SolverConfig(variant=variant, local_search_enabled=False,
+        t[variant] = run(h, SolverConfig(variant=variant, beta=0.0,
                                          stop=StopRule(max_fun_evals=400)))
     assert [r.value for r in t["halo"].evals] == [r.value for r in t["hlo"].evals]
     assert [it.selected for it in t["halo"].iterations] == [it.selected for it in t["hlo"].iterations]
@@ -114,13 +114,13 @@ def test_constant_objective_halo_hlo_traces_coincide():
 def largest_half_diagonal(max_iter):
     """The largest half diagonal after the denseness run, cut at ``max_iter`` iterations."""
     stop = StopRule(max_fun_evals=5000, max_iter=max_iter)
-    trace = run(unit_handle(rastrigin_like, 2), SolverConfig(variant="halo", local_search_enabled=False, stop=stop))
+    trace = run(unit_handle(rastrigin_like, 2), SolverConfig(variant="halo", beta=0.0, stop=stop))
     return float(trace.ledger.half_diagonals().max()), len(trace.iterations)
 
 
 def test_denseness_10x10_grid_5000_evals():
     h = unit_handle(rastrigin_like, 2)
-    cfg = SolverConfig(variant="halo", local_search_enabled=False,
+    cfg = SolverConfig(variant="halo", beta=0.0,
                        stop=StopRule(max_fun_evals=5000))
     trace = run(h, cfg)
     points = np.array([r.point for r in trace.evals])

@@ -42,8 +42,8 @@ def manifest_handle(name: str, index: int):
 
 
 def deep_rastrigin_handle():
-    # the criterion-5 setup: with local search off, the box around the
-    # centered optimum is trisected past level 300
+    # the criterion-5 setup: at beta 0 no local search starts, and the box
+    # around the centered optimum is trisected past level 300
     return ObjectiveHandle(lambda x: float(rastrigin(x)), BoxDomain([-5.12] * 2, [5.12] * 2))
 
 
@@ -56,27 +56,28 @@ def shifted_handle(name: str, n: int, seed: int):
     return build
 
 
-# case id -> (handle builder, variant, budget, beta, local search on)
+# case id -> (handle builder, variant, budget, beta); beta 0 turns local search off
 CASES = {
-    "schoen30#0/halo": (manifest_handle("schoen30.jsonl", 0), "halo", 1500, 1e-2, True),
-    "schoen30#0/hlo": (manifest_handle("schoen30.jsonl", 0), "hlo", 1500, 1e-2, True),
-    "schoen30#0/direct": (manifest_handle("schoen30.jsonl", 0), "direct", 1500, 1e-4, True),
-    "schoen30#21/halo": (manifest_handle("schoen30.jsonl", 21), "halo", 1500, 1e-4, True),
-    "schoen30#21/hlo": (manifest_handle("schoen30.jsonl", 21), "hlo", 1500, 1e-4, True),
-    "schoen30#21/direct": (manifest_handle("schoen30.jsonl", 21), "direct", 1500, 1e-4, True),
-    "classical20#3/halo": (manifest_handle("classical20.jsonl", 3), "halo", 1500, 1e-4, True),
-    "classical20#3/hlo": (manifest_handle("classical20.jsonl", 3), "hlo", 1500, 1e-4, True),
-    "classical20#3/direct": (manifest_handle("classical20.jsonl", 3), "direct", 1500, 1e-4, True),
-    "classical20#12/halo": (manifest_handle("classical20.jsonl", 12), "halo", 1500, 1e-2, True),
-    "classical20#12/hlo": (manifest_handle("classical20.jsonl", 12), "hlo", 1500, 1e-2, True),
-    "classical20#12/direct": (manifest_handle("classical20.jsonl", 12), "direct", 1500, 1e-4, True),
-    "rastrigin2-deep/halo": (deep_rastrigin_handle, "halo", 3000, 1e-4, False),
+    "schoen30#0/halo": (manifest_handle("schoen30.jsonl", 0), "halo", 1500, 1e-2),
+    "schoen30#0/hlo": (manifest_handle("schoen30.jsonl", 0), "hlo", 1500, 1e-2),
+    "schoen30#0/direct": (manifest_handle("schoen30.jsonl", 0), "direct", 1500, 1e-4),
+    "schoen30#21/halo": (manifest_handle("schoen30.jsonl", 21), "halo", 1500, 1e-4),
+    "schoen30#21/hlo": (manifest_handle("schoen30.jsonl", 21), "hlo", 1500, 1e-4),
+    "schoen30#21/direct": (manifest_handle("schoen30.jsonl", 21), "direct", 1500, 1e-4),
+    "classical20#3/halo": (manifest_handle("classical20.jsonl", 3), "halo", 1500, 1e-4),
+    "classical20#3/hlo": (manifest_handle("classical20.jsonl", 3), "hlo", 1500, 1e-4),
+    "classical20#3/direct": (manifest_handle("classical20.jsonl", 3), "direct", 1500, 1e-4),
+    "classical20#12/halo": (manifest_handle("classical20.jsonl", 12), "halo", 1500, 1e-2),
+    "classical20#12/hlo": (manifest_handle("classical20.jsonl", 12), "hlo", 1500, 1e-2),
+    "classical20#12/direct": (manifest_handle("classical20.jsonl", 12), "direct", 1500, 1e-4),
+    "rastrigin2-deep/halo": (deep_rastrigin_handle, "halo", 3000, 0.0),
+    "rastrigin2-deep/hlo": (deep_rastrigin_handle, "hlo", 3000, 0.0),
     # n >= 8: numpy's row reductions switch to pairwise summation here
-    "rastrigin8/halo": (shifted_handle("rastrigin", 8, 1), "halo", 2000, 1e-1, True),
-    "rastrigin8/direct": (shifted_handle("rastrigin", 8, 1), "direct", 2000, 1e-4, True),
+    "rastrigin8/halo": (shifted_handle("rastrigin", 8, 1), "halo", 2000, 1e-1),
+    "rastrigin8/direct": (shifted_handle("rastrigin", 8, 1), "direct", 2000, 1e-4),
     # beta 0.03 > 1e-3, so a local search's first step is the box's own half diagonal
-    "rastrigin6-shift3/halo": (shifted_handle("rastrigin", 6, 3), "halo", 3000, 3e-2, True),
-    "rastrigin8-shift3/hlo": (shifted_handle("rastrigin", 8, 3), "hlo", 3000, 3e-2, True),
+    "rastrigin6-shift3/halo": (shifted_handle("rastrigin", 6, 3), "halo", 3000, 3e-2),
+    "rastrigin8-shift3/hlo": (shifted_handle("rastrigin", 8, 3), "hlo", 3000, 3e-2),
 }
 
 GOLDEN = {
@@ -93,6 +94,7 @@ GOLDEN = {
     "classical20#12/hlo": "c8a7b147daa1536bad737b5e2e0e920c6902714f5c581cd818a4d4c6b66e9d35",
     "classical20#12/direct": "2542bda6c9d3d21ac7834c4d09087ed0eddea0b4bb5c6bdb85905ce8ce38d058",
     "rastrigin2-deep/halo": "ee382cd1905d7243eee5d79082a3be15a50d13f5b83b4802e223eab20dabbed7",
+    "rastrigin2-deep/hlo": "db3dc144197fe86136d73e508ae4f69427e0e243362f335b1a51e86e68989356",
     "rastrigin8/halo": "19b8dbc573227a947d253ce3b4d264fa1898b56f1572b06e3cc2caa0e95fba30",
     "rastrigin8/direct": "f9765f825cff08c9e220eb633a8778997c4913228ba61635d4c9ade0a7a04e72",
     "rastrigin6-shift3/halo": "16444329a8de292ac6100ce5e3b21aeeec5b49e2e9e1d897811f5b9f6a1ab1f0",
@@ -109,9 +111,8 @@ def trace_digest(trace) -> str:
 
 
 def solve(case: str):
-    build, variant, budget, beta, local = CASES[case]
-    cfg = SolverConfig(variant=variant, beta=beta, local_search_enabled=local,
-                       stop=StopRule(max_fun_evals=budget))
+    build, variant, budget, beta = CASES[case]
+    cfg = SolverConfig(variant=variant, beta=beta, stop=StopRule(max_fun_evals=budget))
     return run(build(), cfg)
 
 
