@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from halo.geometry import (
     denormalize_point,
     normalize_point,
 )
+import halo.geometry as geometry
 from halo.partitioning import divide_partition, plan_samples
 
 from conftest import ledger_bytes, tiles_cube
@@ -253,6 +256,60 @@ def test_half_side_table_is_repeated_division_to_underflow():
         side /= 3.0
     assert MAX_LEVEL == 678
     assert HALF_SIDES[MAX_LEVEL] == 0.0 < HALF_SIDES[MAX_LEVEL - 1]
+
+
+def sorted_level_rows(n):
+    """Row ``d``: the levels of a box of depth ``d``, ascending, so ``n - m`` at ``k`` then ``m`` at ``k + 1``."""
+    rows = []
+    for d in range(n * MAX_LEVEL + 1):
+        k, m = divmod(d, n)
+        rows.append([k] * (n - m) + [k + 1] * m)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_half_diagonal_table_is_the_norm_of_the_sorted_level_row(n):
+    table = geometry.half_diagonal_table(n)
+    assert table.shape == (n * MAX_LEVEL + 1,) and not table.flags.writeable
+    sides = HALF_SIDES[sorted_level_rows(n)]
+    normal = (sides**2 >= np.finfo(float).tiny).all(axis=1)
+    assert normal[: 300 * n].all() and not normal[339 * n]
+    assert table[normal].tobytes() == np.linalg.norm(sides[normal], axis=1).tobytes()
+    # where the squares are subnormal, within a few ulps of an exact hypot
+    for d in np.flatnonzero(~normal)[:-1]:
+        exact = math.hypot(*sides[d].tolist())
+        assert abs(table[d] - exact) <= 4 * math.ulp(exact)
+    # positive and nonincreasing below n * MAX_LEVEL, where every side is 0.0
+    assert (table[:-1] > 0.0).all() and table[-1] == 0.0
+    assert (np.diff(table) <= 0.0).all()
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_rows_of_one_depth_have_one_half_diagonal(n):
+    # the m sides at k + 1 in random places, at depths around the level where squares underflow
+    rng = np.random.default_rng(n)
+    ledger = PartitionLedger(n)
+    for k in (0, 1, 7, 338, 339, 400, MAX_LEVEL - 1):
+        for m in range(n):
+            for _ in range(6):
+                levels = np.full(n, k)
+                levels[rng.choice(n, m, replace=False)] += 1
+                ledger.append(np.full(n, 0.5), levels, 0.0)
+    diags, depths = ledger.half_diagonals(), ledger.depths
+    assert (diags > 0.0).all()
+    for d in set(depths.tolist()):
+        assert len(set(diags[depths == d].tolist())) == 1
+    assert diags.tobytes() == geometry.half_diagonal_table(n)[depths].tobytes()
+
+
+def test_half_diagonal_at_level_400_is_positive():
+    # the squares of these sides underflow to 0.0; the box does not
+    ledger = PartitionLedger(2)
+    ledger.append([0.5, 0.5], [400, 400], 0.0)
+    assert HALF_SIDES[400] ** 2 == 0.0
+    diag = ledger.half_diagonals()[0]
+    assert diag > 0.0
+    assert diag == pytest.approx(math.sqrt(2.0) * HALF_SIDES[400], rel=1e-15, abs=0.0)
 
 
 def test_ledger_rejects_unreachable_levels():

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 
@@ -14,6 +15,7 @@ from halo.local_search import (
     gate_local_search,
     start_local_search,
 )
+from halo.manifest import load_manifest, problem_from_record
 from halo.solver import SolverConfig, run
 
 from conftest import unit_handle
@@ -195,3 +197,12 @@ def test_no_two_starts_within_radius_over_full_run():
     for i in range(len(starts)):
         for j in range(i + 1, len(starts)):
             assert np.linalg.norm(starts[i] - starts[j]) > EXCLUSION_RADIUS
+
+
+def test_beta_zero_starts_no_local_search_past_the_underflow_level():
+    # branin trisected past level 339, where the squares of the half sides underflow
+    manifest = Path(__file__).resolve().parents[1] / "benchmarks" / "classical20.jsonl"
+    handle = problem_from_record(load_manifest(manifest)[9]).make_handle()
+    trace = run(handle, SolverConfig(variant="halo", beta=0.0, stop=StopRule(max_fun_evals=4000)))
+    assert trace.ledger.levels.max() >= 339
+    assert trace.n_local_searches == 0
