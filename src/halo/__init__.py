@@ -15,7 +15,6 @@ from .geometry import (
     PartitionLedger,
     StopRule,
     denormalize_point,
-    normalize_point,
 )
 from .manifest import load_manifest, problem_from_record, write_manifest
 from .metrics import (
@@ -37,7 +36,6 @@ __all__ = [
     "ObjectiveHandle",
     "PartitionLedger",
     "StopRule",
-    "normalize_point",
     "denormalize_point",
     "SolverConfig",
     "RunTrace",

@@ -98,7 +98,7 @@ def main():
 @click.option("--problem", required=True, help="Function name, 'schoen', or manifest ref path#index.")
 @click.option("--variant", type=click.Choice(VARIANTS), default=SolverConfig.variant, show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=StopRule.max_fun_evals, show_default=True, help="Maximum function evaluations.")
-@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search; 0 turns local search off.")
+@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search; 0 turns it off, except on a box with every side at MAX_LEVEL (float resolution).")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True, help="Seed for generated problems.")
 @click.option("--n", type=click.IntRange(min=1), default=2, show_default=True, help="Dimension for generic problems.")
 @click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=StopRule.rel_error_tol, show_default=True, help="Relative error tolerance.")
@@ -126,7 +126,7 @@ def solve(problem, variant, budget, beta, seed, n, tol, out):
 @click.option("--manifest", "manifest_path", required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--variant", type=click.Choice(VARIANTS), default=SolverConfig.variant, show_default=True)
 @click.option("--budget", type=click.IntRange(min=1), default=StopRule.max_fun_evals, show_default=True)
-@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search; 0 turns local search off.")
+@click.option("--beta", type=click.FloatRange(min=0), default=SolverConfig.beta, show_default=True, help="Half-diagonal gate for local search; 0 turns it off, except on a box with every side at MAX_LEVEL (float resolution).")
 @click.option("--tol", type=click.FloatRange(min=0, min_open=True), default=StopRule.rel_error_tol, show_default=True)
 @click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True, help="Worker processes.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False), help="Report document path (.json).")

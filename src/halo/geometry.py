@@ -3,17 +3,17 @@
 All solver geometry lives in the normalized unit hypercube [0, 1]^N.
 Objective functions are evaluated in problem units; the solver maps its
 points there through ``ObjectiveHandle.to_problem_units``.
-``normalize_point`` / ``denormalize_point`` map single points with a range
-check, for starting points given in problem units and for replaying a
-trace.
+``denormalize_point`` maps a single point with a range check, for
+replaying a trace.
 
 The solver only ever trisects, so the size of a box is fully described by
 an integer level per side: a side cut ``l`` times has half length
-``HALF_SIDES[l]``.
+``HALF_SIDES[l]``, and its half diagonal is set by its depth.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -31,10 +31,29 @@ def _half_side_table() -> np.ndarray:
 # HALF_SIDES[l] is the half side after l trisections: 0.5 divided by 3.0
 # l times, rounding at every step, which can differ in the last bit from
 # 0.5 * 3.0**-l.  The table ends where the value underflows to 0.0, at
-# level MAX_LEVEL = 678.
+# level MAX_LEVEL = 678.  Half diagonals come from ``half_diagonal_table``.
 HALF_SIDES = _half_side_table()
 HALF_SIDES.setflags(write=False)
 MAX_LEVEL = HALF_SIDES.size - 1
+
+
+@functools.cache
+def half_diagonal_table(n: int) -> np.ndarray:
+    """Read-only half diagonal of an ``n``-dimensional box, indexed by its depth ``d``.
+
+    Entry ``d`` is the axis-1 norm of the sorted level row, ``n - m`` sides at
+    ``k`` then ``m`` at ``k + 1`` for ``(k, m) = divmod(d, n)``; where a square
+    is subnormal (from level 339), ``HALF_SIDES[k] * sqrt((n - m) + m * (HALF_SIDES[k + 1] / HALF_SIDES[k])**2)``.
+    Only the last entry, every side at ``MAX_LEVEL``, is 0.0.
+    """
+    k, m = np.divmod(np.arange(n * MAX_LEVEL), n)
+    sides = HALF_SIDES[np.where(np.arange(n) >= n - m[:, None], k[:, None] + 1, k[:, None])]
+    scaled = HALF_SIDES[k] * np.sqrt((n - m) + m * (sides[:, -1] / HALF_SIDES[k]) ** 2)
+    subnormal = sides[:, -1] ** 2 < np.finfo(float).tiny
+    table = np.append(np.where(subnormal, scaled, np.linalg.norm(sides, axis=1)), 0.0)
+    table.setflags(write=False)
+    return table
+
 
 # Rows a new ledger holds before its columns first grow (then double).
 _INITIAL_CAPACITY = 64
@@ -80,20 +99,6 @@ class BoxDomain:
         return self.lower.size
 
 
-def normalize_point(p, domain: BoxDomain) -> np.ndarray:
-    """Map a problem-units point into [0, 1]^N.
-
-    Raises DomainViolationError if ``p`` falls outside the box (bounds
-    are inclusive).
-    """
-    p = np.asarray(p, dtype=float)
-    if p.shape != domain.lower.shape:
-        raise DomainViolationError(f"point has shape {p.shape}, domain is {domain.dim}-dimensional")
-    if np.any(p < domain.lower) or np.any(p > domain.upper):
-        raise DomainViolationError(f"point {p} outside domain [{domain.lower}, {domain.upper}]")
-    return (p - domain.lower) / domain.widths
-
-
 def denormalize_point(q, domain: BoxDomain) -> np.ndarray:
     """Map a point in [0, 1]^N back to problem units.
 
@@ -115,16 +120,16 @@ class PartitionLedger:
     ``levels[j]`` times.  Only longest sides are ever cut, so the levels of
     a row lie in ``{k, k + 1}`` for some ``k``.  ``append`` rejects any
     other row; the rows ``divide`` stores come from ``divide_partition``,
-    and the property tests check that they keep this form.  Rows of equal
-    depth have the same sides up to order, and a greater depth means a
-    strictly smaller box.  Slope rows hold nonnegative absolute difference
-    quotients along each axis, in objective units per normalized length.
+    and the property tests check that they keep this form.  So the depth
+    is a row's size: rows of one depth have the same sides up to order and
+    one ``half_diagonal_table`` entry, and a greater depth means a strictly
+    smaller box.  Slope rows hold nonnegative absolute difference quotients
+    along each axis, in objective units per normalized length.
 
-    Three columns are cached when a row is written: the half diagonal
-    ``norm(HALF_SIDES[levels])``, the depth ``levels.sum()`` and the slope norm
-    ``norm(slopes)``.  So that they cannot go stale, every column is handed
-    out as a read-only view; rows change only through ``append`` and
-    ``divide``.
+    Two columns are cached when a row is written: the depth
+    ``levels.sum()`` and the slope norm ``norm(slopes)``.  So that they
+    cannot go stale, every column is handed out as a read-only view; rows
+    change only through ``append`` and ``divide``.
 
     Rows are never deleted: dividing a partition trisects it in place and
     appends the new children, so the set of rows always tiles the unit
@@ -139,7 +144,6 @@ class PartitionLedger:
         self._levels = np.zeros((_INITIAL_CAPACITY, dim), dtype=np.int16)
         self._values = np.zeros(_INITIAL_CAPACITY)
         self._slopes = np.zeros((_INITIAL_CAPACITY, dim))
-        self._half_diagonals = np.zeros(_INITIAL_CAPACITY)
         self._depths = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         self._slope_norms = np.zeros(_INITIAL_CAPACITY)
         self._count = 0
@@ -181,8 +185,7 @@ class PartitionLedger:
 
     def _grow(self):
         cap = 2 * self._centers.shape[0]
-        for name in ("_centers", "_levels", "_values", "_slopes",
-                     "_half_diagonals", "_depths", "_slope_norms"):
+        for name in ("_centers", "_levels", "_values", "_slopes", "_depths", "_slope_norms"):
             old = getattr(self, name)
             new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
             new[: self._count] = old[: self._count]
@@ -194,10 +197,9 @@ class PartitionLedger:
             raise ValueError("slopes are absolute and must be nonnegative")
         self._levels[rows] = levels
         self._slopes[rows] = slopes
+        self._depths[rows] = levels.sum(axis=1)
         # the axis-1 norm of a block has, row by row, the bits of the same
         # rows within a whole-matrix axis-1 norm
-        self._half_diagonals[rows] = np.linalg.norm(HALF_SIDES[levels], axis=1)
-        self._depths[rows] = levels.sum(axis=1)
         self._slope_norms[rows] = np.linalg.norm(slopes, axis=1)
 
     def _reserve(self, k: int) -> int:
@@ -239,9 +241,11 @@ class PartitionLedger:
         self._count = end
         return list(range(first, end))
 
-    def half_diagonals(self) -> np.ndarray:
-        """View of every row's distance from center to vertex."""
-        return self._view(self._half_diagonals)
+    def half_diagonals(self, rows=slice(None)) -> np.ndarray:
+        """Read-only half diagonal of every row, or of the ids ``rows``: its depth's table entry."""
+        diags = np.asarray(half_diagonal_table(self._dim)[self.depths[rows]])
+        diags.flags.writeable = False
+        return diags
 
     def slope_norms(self) -> np.ndarray:
         """View of every slope row's Euclidean norm."""

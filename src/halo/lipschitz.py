@@ -5,10 +5,10 @@ coordinate axes, written when it is divided (see ``divide_partition``); the
 ledger caches each row's norm as it writes the row
 (``PartitionLedger.slope_norms``).  The blend of a partition's own slope
 norm with the ledger-wide maximum gives the local constant used to form
-lower bounds.
-Both work on the whole ledger or on a subset of its rows, with the same
+lower bounds.  Both read a partition's size as its depth's half diagonal
+and work on the whole ledger or on a subset of its rows, with the same
 elementwise expressions, so a row's constant and bound have the same bits
-either way; ``select_halo`` recomputes only the rows that changed.
+either way; ``select_halo`` recomputes and reads only the rows that changed.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def blend_constants(ledger: PartitionLedger, global_constant: float, rows=slice(
     Each ``alpha`` is the box diagonal over the cube diagonal sqrt(N),
     capped at 1, which the root reaches.
     """
-    alphas = np.minimum(2.0 * ledger.half_diagonals()[rows] / np.sqrt(ledger.dim), 1.0)
+    alphas = np.minimum(2.0 * ledger.half_diagonals(rows) / np.sqrt(ledger.dim), 1.0)
     return blend(alphas, global_constant, ledger.slope_norms()[rows])
 
 
@@ -52,4 +52,4 @@ def lower_bounds(ledger: PartitionLedger, constants, rows=slice(None)) -> np.nda
     Covers every partition, or the ids ``rows``; ``constants`` is one L
     per partition covered, or one L for all of them.
     """
-    return ledger.values[rows] - constants * ledger.half_diagonals()[rows]
+    return ledger.values[rows] - constants * ledger.half_diagonals(rows)

@@ -6,8 +6,8 @@ exclusion radius.  ``gate_local_search`` decides; ``start_local_search``
 owns the rest of the policy (exclusion ball, budget cap, first step) and
 runs the search.  The optimizer itself is a cyclic coordinate search with
 an Armijo-style sufficient-decrease test and per-coordinate step control,
-projected onto the unit cube.  A box's half diagonal is the ledger's cached
-column, the one selection reads, so no step here calls BLAS.
+projected onto the unit cube.  A box's half diagonal is the ledger's table
+entry for its depth, the one selection reads, so no step here calls BLAS.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ def gate_local_search(candidate_id: int, ledger: PartitionLedger, excluded: set[
     lies within ``EXCLUSION_RADIUS`` of its center; otherwise the candidate
     joins ``excluded`` and is neither sampled nor divided this iteration.
     The gate only decides: ``start_local_search`` collects the exclusion
-    ball of a search it lets run.  Both read the half diagonal from
-    ``ledger.half_diagonals()``.
+    ball of a search it lets run.  Both read ``ledger.half_diagonals``,
+    which is 0.0 only for a box with every side at ``MAX_LEVEL``.
     """
-    if ledger.half_diagonals()[candidate_id] > beta:
+    if ledger.half_diagonals(candidate_id) > beta:
         return SELECT_FOR_DIVISION
     if candidate_id in excluded:
         # a member's own center lies at distance 0 from the set
@@ -93,7 +93,7 @@ def start_local_search(
         obj,
         center,
         budget=min(budget, LOCAL_SEARCH_BUDGET_PER_DIM * ledger.dim),
-        initial_step=max(1e-3, float(ledger.half_diagonals()[candidate_id])),
+        initial_step=max(1e-3, float(ledger.half_diagonals(candidate_id))),
         f0=float(ledger.values[candidate_id]),
         on_eval=on_eval,
     )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import PartitionLedger
+from .geometry import PartitionLedger, half_diagonal_table
 from .lipschitz import blend_constants, lower_bounds
 
 
@@ -63,8 +63,7 @@ def select_halo(ledger: PartitionLedger, constants, carried: Optional[CarriedBou
 
     Criterion 1: the lowest lower bound over all partitions.
     Criterion 2: the lowest objective value.
-    Criterion 3: among the largest partitions (least depth, so maximal half
-    diagonal), the lowest lower bound.
+    Criterion 3: among the largest partitions (least depth), the lowest lower bound.
 
     Argmin ties break toward the lowest id, and a NaN wins an argmin as in
     ``np.argmin``.  The outcome names each criterion's winner
@@ -126,15 +125,14 @@ def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> l
     Equivalent to sitting on the lower-right convex hull of the
     (half diagonal, value) cloud.
 
-    Rows of equal depth form one size class.  One group-by pass over the
-    integer depth offsets gives each class's lowest value and largest half
-    diagonal (rows of one class can differ in the last bit, as their sides
-    come in different orders); min and max do not depend on row order.
-    The hull test then runs on the class-by-class matrix: for each class
-    minimum, ``k_low`` is the steepest slope down to a smaller class (0
-    if there is none), ``k_high`` the shallowest slope up to a larger
-    class (inf if there is none) and ``k_eps`` the slope to
-    ``f_min - epsilon``.  The class qualifies when ``k_high > 0`` and
+    Rows of equal depth form one size class, whose half diagonal is the
+    depth's ``half_diagonal_table`` entry.  One group-by pass over the
+    integer depth offsets gives each class's lowest value; a min does not
+    depend on row order.  The hull test then runs on the class-by-class
+    matrix: for each class minimum, ``k_low`` is the steepest slope down
+    to a smaller class (0 if there is none), ``k_high`` the shallowest
+    slope up to a larger class (inf if there is none) and ``k_eps`` the
+    slope to ``f_min - epsilon``.  The class qualifies when ``k_high > 0`` and
     ``k_high >= max(k_low, k_eps)``; that max keeps ``k_low`` unless
     ``k_eps`` is strictly greater, so a NaN in either one decides as a
     plain two-way max would.  Every row that holds its class's qualifying
@@ -143,24 +141,23 @@ def select_potentially_optimal(ledger: PartitionLedger, epsilon_rel: float) -> l
     if len(ledger) == 0:
         raise ValueError("ledger is empty")
     values = ledger.values
-    diags = ledger.half_diagonals()
     f_min = float(values.min())
     eps_abs = epsilon_rel * abs(f_min)
     if epsilon_rel > 0.0 and f_min == 0.0:
         eps_abs = 1e-8
 
     depths = ledger.depths
-    offsets = depths - depths.min()
+    shallowest = depths.min()
+    offsets = depths - shallowest
     present = np.bincount(offsets) > 0
     class_f = np.full(present.size, np.inf)
-    class_d = np.full(present.size, -np.inf)
     # ``minimum.at`` flags a NaN value as invalid, and entry [i, j] of the
     # matrices below pairs the minimum of class i with that of class j, so
     # the entries the masks drop (the diagonal's 0/0, inf - inf) may warn.
     with np.errstate(divide="ignore", invalid="ignore"):
         np.minimum.at(class_f, offsets, values)
-        np.maximum.at(class_d, offsets, diags)
-        f, d = class_f[present], class_d[present]
+        f = class_f[present]
+        d = half_diagonal_table(ledger.dim)[shallowest + np.flatnonzero(present)]
         k_low = (f[:, None] - f[None, :]) / (d[:, None] - d[None, :])
         k_high = (f[None, :] - f[:, None]) / (d[None, :] - d[:, None])
         k_eps = (f - (f_min - eps_abs)) / d

@@ -89,11 +89,11 @@ def ledger_bytes(ledger):
 def class_diagonals(ledger):
     """Half diagonal per row, the same for every row of one depth.
 
-    Rows of equal depth have the same sides in different orders, so their
-    norms can differ in the last bit.  Fed those raw values, a K-grid
-    oracle sees two box sizes 1e-16 apart and a rate constant near 1e16
-    between them, at which rounding ties every score.  Each row gets the
-    largest diagonal of its depth, the value selection uses for the class.
+    The ledger reads each row's half diagonal from its depth's table
+    entry, so rows of equal depth, whose sides come in different orders,
+    already agree; the largest of a depth is that entry.  Per-row norms
+    could differ in the last bit, and a K-grid oracle fed them would see
+    two box sizes 1e-16 apart and a rate constant near 1e16 between them.
     """
     diags = ledger.half_diagonals()
     depths = ledger.depths

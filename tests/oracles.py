@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from halo.geometry import HALF_SIDES, MAX_LEVEL, normalize_point
+from halo.geometry import HALF_SIDES, MAX_LEVEL
 from halo.local_search import coordinate_descent_minimize
 
 
@@ -148,11 +148,15 @@ class ReferenceLedger:
         self.slopes = [[float(v) for v in row] for row in ledger.slopes]
 
     def columns(self):
-        """Every column as the ledger holds it, the cached ones recomputed whole."""
+        """Every column as the ledger hands it out, the derived ones recomputed whole.
+
+        The half diagonal is the norm of the sorted level row, which is the
+        ledger's table entry while no square of a side underflows.
+        """
         levels = np.array(self.levels, dtype=np.int16)
         slopes = np.array(self.slopes)
         return [np.array(self.centers), levels, np.array(self.values), slopes,
-                levels.sum(axis=1), np.linalg.norm(HALF_SIDES[levels], axis=1),
+                levels.sum(axis=1), np.linalg.norm(HALF_SIDES[np.sort(levels, axis=1)], axis=1),
                 np.linalg.norm(slopes, axis=1)]
 
 
@@ -221,7 +225,7 @@ def audit_optimum(problem, probes: int = 1_000_000, seed: int = 0,
     for start in (probe_best, problem.known_minimizer):
         result = coordinate_descent_minimize(
             problem.make_handle(),
-            normalize_point(np.clip(start, d.lower, d.upper), d),
+            (np.clip(start, d.lower, d.upper) - d.lower) / d.widths,
             budget=refine_budget,
             tol=1e-12,
             initial_step=1e-2,

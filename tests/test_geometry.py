@@ -15,35 +15,11 @@ from halo.geometry import (
     PartitionLedger,
     StopRule,
     denormalize_point,
-    normalize_point,
+    half_diagonal_table,
 )
-import halo.geometry as geometry
 from halo.partitioning import divide_partition, plan_samples
 
 from conftest import ledger_bytes, tiles_cube
-
-
-def test_normalize_endpoints():
-    d = BoxDomain([0.0, -10.0], [10.0, 10.0])
-    assert np.allclose(normalize_point([0.0, 10.0], d), [0.0, 1.0])
-
-
-def test_normalize_lower_is_zero():
-    d = BoxDomain([-3.0, 2.0, 0.5], [1.0, 4.0, 2.0])
-    assert np.array_equal(normalize_point(d.lower, d), np.zeros(3))
-
-
-def test_normalize_linear():
-    d = BoxDomain([0.0], [10.0])
-    assert np.allclose(normalize_point([2.5], d), [0.25])
-
-
-def test_normalize_out_of_domain():
-    d = BoxDomain([0.0], [1.0])
-    with pytest.raises(DomainViolationError):
-        normalize_point([1.5], d)
-    with pytest.raises(DomainViolationError):
-        normalize_point([-0.1], d)
 
 
 def test_denormalize_midpoint():
@@ -75,7 +51,7 @@ def test_round_trip_many_random_points():
         d = BoxDomain(lower, upper)
         q = rng.uniform(0.0, 1.0, (100, n))
         for row in q:
-            back = normalize_point(denormalize_point(row, d), d)
+            back = (denormalize_point(row, d) - d.lower) / d.widths
             assert np.all(np.abs(back - row) <= 1e-12)
 
 
@@ -90,7 +66,7 @@ def test_round_trip_hypothesis(n, seed):
     upper = lower + rng.uniform(1e-3, 1e3, n)
     d = BoxDomain(lower, upper)
     q = rng.uniform(0.0, 1.0, n)
-    assert np.all(np.abs(normalize_point(denormalize_point(q, d), d) - q) <= 1e-12)
+    assert np.all(np.abs((denormalize_point(q, d) - d.lower) / d.widths - q) <= 1e-12)
 
 
 def test_box_domain_validation():
@@ -269,7 +245,7 @@ def sorted_level_rows(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_half_diagonal_table_is_the_norm_of_the_sorted_level_row(n):
-    table = geometry.half_diagonal_table(n)
+    table = half_diagonal_table(n)
     assert table.shape == (n * MAX_LEVEL + 1,) and not table.flags.writeable
     sides = HALF_SIDES[sorted_level_rows(n)]
     normal = (sides**2 >= np.finfo(float).tiny).all(axis=1)
@@ -299,7 +275,7 @@ def test_rows_of_one_depth_have_one_half_diagonal(n):
     assert (diags > 0.0).all()
     for d in set(depths.tolist()):
         assert len(set(diags[depths == d].tolist())) == 1
-    assert diags.tobytes() == geometry.half_diagonal_table(n)[depths].tobytes()
+    assert diags.tobytes() == half_diagonal_table(n)[depths].tobytes()
 
 
 def test_half_diagonal_at_level_400_is_positive():
@@ -339,7 +315,7 @@ def test_trisect_cuts_only_longest_sides_and_refreshes_caches():
     assert ledger.depths.tolist() == [3, 2, 2, 3, 3]
     assert ledger.values.tolist() == [0.0, 1.0, 6.0, 4.0, 5.0]
     assert ledger.centers[1:].tobytes() == plan.points[[2, 3, 0, 1]].tobytes()
-    assert ledger.half_diagonals().tobytes() == np.linalg.norm(HALF_SIDES[ledger.levels], axis=1).tobytes()
+    assert ledger.half_diagonals().tobytes() == np.linalg.norm(HALF_SIDES[np.sort(ledger.levels, axis=1)], axis=1).tobytes()
 
 
 def test_block_divide_appends_children_in_block_order():
@@ -357,7 +333,7 @@ def test_block_divide_appends_children_in_block_order():
     delta = 2.0 * HALF_SIDES[1] / 3.0
     assert ledger.centers[2:4].tolist() == [[0.5, 0.2 + delta], [0.5, 0.2 - delta]]
     assert ledger.values.tolist() == [0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 3.0]
-    assert ledger.half_diagonals().tobytes() == np.linalg.norm(HALF_SIDES[ledger.levels], axis=1).tobytes()
+    assert ledger.half_diagonals().tobytes() == np.linalg.norm(HALF_SIDES[np.sort(ledger.levels, axis=1)], axis=1).tobytes()
 
 
 def test_divide_partition_below_float_resolution_raises_and_writes_nothing():

@@ -201,14 +201,14 @@ def test_potentially_optimal_epsilon_prunes_near_incumbent():
 
 
 def test_permuted_sides_form_one_size_class():
-    # same sides in another order: the norms differ in the last bit, yet the
-    # boxes are one size, so the one with the lower value wins both rules
+    # same sides in another order, whose row norms differ in the last bit:
+    # one depth, so one half diagonal, and the lower value wins both rules
     ledger = PartitionLedger(4)
     ledger.append(np.full(4, 0.5), [1, 1, 1, 0], 0.0)
     ledger.append(np.full(4, 0.5), [0, 1, 1, 1], 1.0)
     ledger.append(np.full(4, 0.5), [2, 2, 2, 2], 0.5)
     diags = ledger.half_diagonals()
-    assert diags[0] < diags[1]
+    assert diags[:1].tobytes() == diags[1:2].tobytes()
     assert select_potentially_optimal(ledger, 0.0) == [0]
     outcome = select_halo(ledger, np.zeros(3))
     assert outcome.largest_best == 0
@@ -269,19 +269,21 @@ def test_potentially_optimal_matches_per_class_loop_on_edge_values(seed, n, valu
 
 def test_potentially_optimal_matches_per_class_loop_along_a_direct_run(monkeypatch):
     # every selection of a 4-D solve, where rows of one depth hold the same
-    # sides in different orders and so differ in half diagonal by an ulp
-    split_classes = []
+    # sides in different orders and still get one half diagonal
+    permuted = []
 
     def checked(ledger, epsilon_rel):
         assert_matches_per_class_loop(ledger)
-        diags, depths = ledger.half_diagonals(), ledger.depths
-        split_classes.append(any(np.ptp(diags[depths == d]) > 0.0 for d in set(depths.tolist())))
+        diags, depths, levels = ledger.half_diagonals(), ledger.depths, ledger.levels
+        for d in set(depths.tolist()):
+            assert len(set(diags[depths == d].tolist())) == 1
+            permuted.append(len({tuple(row) for row in levels[depths == d].tolist()}) > 1)
         return select_potentially_optimal(ledger, epsilon_rel)
 
     monkeypatch.setattr(halo.solver, "select_potentially_optimal", checked)
     cfg = SolverConfig(variant="direct", stop=StopRule(max_fun_evals=2000))
     run(unit_handle(random_objective(0, 4), 4), cfg)
-    assert any(split_classes)
+    assert any(permuted)
 
 
 def edge_objective(seed: int, n: int, kind: str):

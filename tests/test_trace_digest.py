@@ -97,7 +97,7 @@ GOLDEN = {
     "rastrigin2-deep/hlo": "db3dc144197fe86136d73e508ae4f69427e0e243362f335b1a51e86e68989356",
     "rastrigin8/halo": "19b8dbc573227a947d253ce3b4d264fa1898b56f1572b06e3cc2caa0e95fba30",
     "rastrigin8/direct": "f9765f825cff08c9e220eb633a8778997c4913228ba61635d4c9ade0a7a04e72",
-    "rastrigin6-shift3/halo": "16444329a8de292ac6100ce5e3b21aeeec5b49e2e9e1d897811f5b9f6a1ab1f0",
+    "rastrigin6-shift3/halo": "f674b0ef885c271f525f93c1cf64fe59180a45c96263e082c16cdc24185dd99c",
     "rastrigin8-shift3/hlo": "edfab856acc0194120f1d22335a632f075abc5a4446f112cbd541c7d9e1dbb7c",
 }
 
