@@ -260,15 +260,24 @@ OnEval = Callable[[np.ndarray, float], None]
 class ObjectiveHandle:
     """Opaque evaluator of the objective over a box domain.
 
-    ``eval_count`` starts at 0 and increments by exactly one per evaluation,
-    including evaluations made by local searches.  A handle is owned by a single
-    solver run; the wrapped ``evaluator`` itself must be safe to call from
-    several handles concurrently.
+    ``vectorized`` describes the evaluator: it also takes a ``(k, N)`` block
+    and returns shape ``(k,)``, every entry with the bits of a single-point
+    call, so ``evaluate_block`` may evaluate a block with one call.  It must
+    still take one ``(N,)`` point.
+
+    ``eval_count`` starts at 0 and grows by one per ``evaluate`` and by ``k``
+    per ``evaluate_block`` of ``k`` points, local searches included.  A
+    solver run that stops at a point inside a block has had the rest of the
+    block evaluated too, so ``eval_count`` can then exceed the trace's
+    ``n_evals``.  A handle is owned by a single solver run; the wrapped
+    ``evaluator`` itself must be safe to call from several handles
+    concurrently.
     """
 
     evaluator: Callable[[np.ndarray], float]
     domain: BoxDomain
     known_optimum: Optional[float] = None
+    vectorized: bool = False
     eval_count: int = field(default=0, init=False)
 
     def evaluate(self, point) -> float:
@@ -280,6 +289,26 @@ class ObjectiveHandle:
             raise ObjectiveError(f"objective evaluation failed at {point}: {exc}") from exc
         self.eval_count += 1
         return value
+
+    def evaluate_block(self, points) -> list[float]:
+        """Evaluate each row of a ``(k, N)`` problem-units block with one evaluator call.
+
+        Returns Python floats, with the bits ``evaluate`` gives each row when
+        the handle is ``vectorized``.  An evaluator that raises or does not
+        return shape ``(k,)`` raises ``ObjectiveError`` and counts nothing.
+        """
+        points = np.asarray(points, dtype=float)
+        k = len(points)
+        if not k:
+            return []
+        try:
+            values = np.asarray(self.evaluator(points), dtype=float)
+        except Exception as exc:
+            raise ObjectiveError(f"objective evaluation failed on a block of {k} points: {exc}") from exc
+        if values.shape != (k,):
+            raise ObjectiveError(f"objective returned shape {values.shape} for a block of {k} points")
+        self.eval_count += k
+        return values.tolist()
 
     def to_problem_units(self, q) -> np.ndarray:
         """Map one normalized point, or each row of a ``(k, N)`` block, to problem units.

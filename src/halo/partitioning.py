@@ -9,12 +9,13 @@ The longest sides of a box are those at its lowest trisection level.
 Every step works on a block of partitions at once.  ``plan_samples``
 places the points of the whole block, keeping the longest prefix that fits
 an evaluation budget, and ``evaluate_samples`` evaluates them in plan
-order.  ``divide_partition`` owns the rest of a division: it keeps the
-divisions whose points all returned, puts each one in division order,
-builds the children's and the parents' level rows and refreshes the slope
-rows from the same samples (central differences for the parents, forward
-differences for the children), then hands every row to the ledger in one
-call.  One partition is a block of one.
+order, with one objective call for the block when the handle is
+``vectorized``.  ``divide_partition`` owns the rest of a division: it
+keeps the divisions whose points all returned, puts each one in division
+order, builds the children's and the parents' level rows and refreshes
+the slope rows from the same samples (central differences for the
+parents, forward differences for the children), then hands every row to
+the ledger in one call.  One partition is a block of one.
 
 A block holds a few divisions of a few sides each, so both functions read
 the block's rows once and do the per-division geometry on Python
@@ -111,13 +112,18 @@ def plan_samples(ledger: PartitionLedger, pids, max_evals: Optional[int] = None)
 def evaluate_samples(plan: SamplePlan, obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> None:
     """Evaluate the points of ``plan`` in plan order, appending to ``plan.values``.
 
-    The block is mapped to problem units with one call, then evaluated one
-    point at a time with ``on_eval`` after each, so an exception from the
-    objective or from ``on_eval`` stops the sampling at that point and
-    propagates; ``plan.values`` then holds the values that returned before.
+    The block is mapped to problem units with one call.  A ``vectorized``
+    handle then evaluates it with one ``evaluate_block`` call; any other
+    handle evaluates it lazily, one point at a time, so each evaluation
+    comes right before its ``on_eval``.  Either way the values have the same
+    bits and reach ``on_eval`` one at a time, in plan order.  An exception
+    from the objective or from ``on_eval`` stops the sampling and
+    propagates; ``plan.values`` then holds the values that reached
+    ``on_eval`` before it, none of the block's if a block call raised.
     """
-    for q, x in zip(plan.points, obj.to_problem_units(plan.points)):
-        f = obj.evaluate(x)
+    xs = obj.to_problem_units(plan.points)
+    values = obj.evaluate_block(xs) if obj.vectorized else map(obj.evaluate, xs)
+    for q, f in zip(plan.points, values):
         if on_eval is not None:
             on_eval(q, f)
         plan.values.append(f)

@@ -1,7 +1,12 @@
 """Classical benchmark objectives with verified optima, plus shift machinery.
 
 Every function is vectorized over the last axis, so a single point of
-shape (n,) and a batch of shape (m, n) both work.  Stored minimizers were
+shape (n,) and a batch of shape (m, n) both work.  A problem is
+``vectorized`` (its handle evaluates a division block with one call) only
+where every row of a batch has the bits of the single-point call.  Six
+functions are not: on one point they apply ``**`` to numpy float64
+scalars, which calls the C library's ``pow``, while a batch gets numpy's
+``np.square``, which can differ in the last bit.  Stored minimizers were
 refined numerically; optima that are not analytically exact are defined as
 the function value at the frozen minimizer and re-verified by the suite
 oracle (dense random probe plus coordinate-descent refinement) in the test
@@ -39,10 +44,13 @@ class TestProblem:
     seed: Optional[int] = None
     stationary_points: Optional[int] = None
     shift_seed: Optional[int] = None
+    vectorized: bool = True
 
     def make_handle(self) -> ObjectiveHandle:
         """Fresh evaluation handle; each solver run owns its own counter."""
-        return ObjectiveHandle(evaluator=self.fn, domain=self.domain, known_optimum=self.known_optimum)
+        return ObjectiveHandle(
+            evaluator=self.fn, domain=self.domain, known_optimum=self.known_optimum, vectorized=self.vectorized
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +262,7 @@ class FunctionSpec:
     optimum: Optional[Callable[[int], float]] = None  # None = evaluate at minimizer
     center_optimum: bool = False
     min_dim: int = 1
+    vectorized: bool = True  # False where a batch row can differ from the single-point bits
 
     def defined_at(self, n: int) -> bool:
         return n >= self.min_dim and (self.dims is None or n in self.dims)
@@ -281,7 +290,9 @@ def _registry() -> dict[str, FunctionSpec]:
         styblinski_tang, None, lo, hi, lambda n: np.full(n, _STYBLINSKI_ARGMIN)
     )
     lo, hi = _box(-10.0, 10.0)
-    reg["dixon_price"] = FunctionSpec(dixon_price, None, lo, hi, _dixon_price_argmin, lambda n: 0.0)
+    reg["dixon_price"] = FunctionSpec(
+        dixon_price, None, lo, hi, _dixon_price_argmin, lambda n: 0.0, vectorized=False
+    )
     lo, hi = _box(0.0, np.pi)
     reg["michalewicz"] = FunctionSpec(
         michalewicz,
@@ -291,13 +302,16 @@ def _registry() -> dict[str, FunctionSpec]:
         lambda n: _MICHALEWICZ_ARGMIN[:n].copy(),
     )
     lo, hi = _box(-4.5, 4.5)
-    reg["beale"] = FunctionSpec(beale, (2,), lo, hi, lambda n: np.array([3.0, 0.5]), lambda n: 0.0)
+    reg["beale"] = FunctionSpec(
+        beale, (2,), lo, hi, lambda n: np.array([3.0, 0.5]), lambda n: 0.0, vectorized=False
+    )
     reg["branin"] = FunctionSpec(
         branin,
         (2,),
         lambda n: np.array([-5.0, 0.0]),
         lambda n: np.array([10.0, 15.0]),
         lambda n: _BRANIN_ARGMIN.copy(),
+        vectorized=False,
     )
     lo, hi = _box(-512.0, 512.0)
     reg["eggholder"] = FunctionSpec(eggholder, (2,), lo, hi, lambda n: _EGGHOLDER_ARGMIN.copy())
@@ -309,7 +323,9 @@ def _registry() -> dict[str, FunctionSpec]:
         lambda n: _ADJIMAN_ARGMIN.copy(),
     )
     lo, hi = _box(-10.0, 10.0)
-    reg["booth"] = FunctionSpec(booth, (2,), lo, hi, lambda n: np.array([1.0, 3.0]), lambda n: 0.0)
+    reg["booth"] = FunctionSpec(
+        booth, (2,), lo, hi, lambda n: np.array([1.0, 3.0]), lambda n: 0.0, vectorized=False
+    )
     reg["matyas"] = FunctionSpec(matyas, (2,), lo, hi, lambda n: np.zeros(2), lambda n: 0.0, True)
     reg["six_hump_camel"] = FunctionSpec(
         six_hump_camel,
@@ -317,10 +333,11 @@ def _registry() -> dict[str, FunctionSpec]:
         lambda n: np.array([-3.0, -2.0]),
         lambda n: np.array([3.0, 2.0]),
         lambda n: _CAMEL_ARGMIN.copy(),
+        vectorized=False,
     )
     lo, hi = _box(-2.0, 2.0)
     reg["goldstein_price"] = FunctionSpec(
-        goldstein_price, (2,), lo, hi, lambda n: np.array([0.0, -1.0]), lambda n: 3.0
+        goldstein_price, (2,), lo, hi, lambda n: np.array([0.0, -1.0]), lambda n: 3.0, vectorized=False
     )
     lo, hi = _box(0.0, 1.0)
     reg["hartmann3"] = FunctionSpec(hartmann3, (3,), lo, hi, lambda n: _HARTMANN3_ARGMIN.copy())
@@ -348,6 +365,7 @@ def classical_problem(name: str, n: int) -> TestProblem:
         known_optimum=optimum,
         known_minimizer=minimizer,
         function=name,
+        vectorized=spec.vectorized,
     )
 
 

@@ -56,6 +56,7 @@ def schoen_generate(seed: int, n: int) -> TestProblem:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             return np.float64(_evaluate(x, anchors, values, exponents))
+        # row by row, so a block has the single-point bits and the problem is vectorized
         return np.array([_evaluate(row, anchors, values, exponents) for row in x])
 
     return TestProblem(

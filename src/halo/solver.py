@@ -137,7 +137,9 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
         if improved:
             best = value
             best_point = point.copy()
-        evals.append(EvalRecord(obj.eval_count, point.copy(), value, best))
+        # a block is evaluated whole before its values are recorded, so the
+        # index counts records, not the handle's evaluations
+        evals.append(EvalRecord(len(evals) + 1, point.copy(), value, best))
         # solved status depends on ``best`` alone, so only a new incumbent can reach it
         if improved and _is_solved(best, obj.known_optimum, stop.rel_error_tol):
             raise _SolvedSignal

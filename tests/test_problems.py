@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from halo.geometry import ObjectiveHandle, StopRule
+from halo.partitioning import _DELTAS, evaluate_samples, init_root, plan_samples
 from halo.problems import (
     BENCHMARK_DIMS,
     CLASSICAL_FUNCTIONS,
@@ -9,6 +11,8 @@ from halo.problems import (
     classical_suite,
     shift_minimizer,
 )
+from halo.schoen import schoen_generate
+from halo.solver import SolverConfig, run
 
 from oracles import audit_optimum
 
@@ -52,15 +56,75 @@ def test_branin_value_matches_closed_form():
     assert prob.known_optimum == pytest.approx(5.0 / (4.0 * np.pi), abs=1e-12)
 
 
+POINT_ONLY = sorted(name for name, spec in CLASSICAL_FUNCTIONS.items() if not spec.vectorized)
+
+# dimensions tried for a function defined at any dimension: those of the benchmarks and below
+ANY_DIM_RANGE = range(1, max(BENCHMARK_DIMS) + 1)
+
+
+def vectorized_problems():
+    for name, spec in CLASSICAL_FUNCTIONS.items():
+        if not spec.vectorized:
+            continue
+        for n in spec.dims or ANY_DIM_RANGE:
+            if spec.defined_at(n):
+                problem = classical_problem(name, n)
+                yield problem
+                yield shift_minimizer(problem, seed=n)
+    for seed, n in ((0, 2), (3, 4), (5, 8)):
+        yield schoen_generate(seed, n)
+
+
+def grid_centers(rng, count, n, max_level=4):
+    """Centers of trisection boxes, built as division builds them.
+
+    Each coordinate starts at 0.5 and takes a step of plus or minus
+    ``_DELTAS[l]`` at every level ``l`` below its own random depth.
+    """
+    points = np.full((count, n), 0.5)
+    depths = rng.integers(0, max_level + 1, size=(count, n))
+    for level in range(max_level):
+        steps = rng.choice([-_DELTAS[level], _DELTAS[level]], size=(count, n))
+        points += np.where(depths > level, steps, 0.0)
+    return points
+
+
 def test_vectorized_evaluation_matches_loop(rng):
-    for name in ("sphere", "rosenbrock", "michalewicz", "hartmann3", "eggholder"):
-        spec = CLASSICAL_FUNCTIONS[name]
-        n = 2 if spec.dims is None else spec.dims[0]
-        prob = classical_problem(name, n)
-        pts = rng.uniform(prob.domain.lower, prob.domain.upper, size=(40, n))
-        batch = np.asarray(prob.fn(pts))
-        single = np.array([float(prob.fn(p)) for p in pts])
-        assert np.allclose(batch, single, rtol=1e-13)
+    # every row of a block has the bits of the single-point call, at every
+    # block size up to 100, so a vectorized handle may evaluate a division
+    # block in one call
+    checked = set()
+    for prob in vectorized_problems():
+        assert prob.vectorized
+        handle = prob.make_handle()
+        for q in (rng.uniform(size=(400, prob.n)), grid_centers(rng, 400, prob.n)):
+            xs = handle.to_problem_units(q)
+            single = np.array([float(prob.fn(x)) for x in xs])
+            for k in [*range(1, 101), len(xs)]:
+                block = np.asarray(handle.evaluate_block(xs[:k]))
+                assert block.tobytes() == single[:k].tobytes(), (prob.name, prob.n, k)
+        checked.add(prob.family if prob.family == "schoen" else prob.function)
+    assert checked == {"schoen"} | set(CLASSICAL_FUNCTIONS) - set(POINT_ONLY)
+
+
+def test_point_only_functions_never_take_a_block(monkeypatch):
+    assert POINT_ONLY == ["beale", "booth", "branin", "dixon_price", "goldstein_price", "six_hump_camel"]
+
+    def refuse(self, points):
+        raise AssertionError("evaluate_block called on a point-only objective")
+
+    monkeypatch.setattr(ObjectiveHandle, "evaluate_block", refuse)
+    for name in POINT_ONLY:
+        handle = classical_problem(name, 2).make_handle()
+        assert not handle.vectorized
+        ledger = init_root(handle)
+        plan = plan_samples(ledger, 0)
+        evaluate_samples(plan, handle)
+        assert len(plan.values) == 4 and handle.eval_count == 5
+        handle = classical_problem(name, 2).make_handle()
+        handle.known_optimum = None
+        trace = run(handle, SolverConfig("direct", stop=StopRule(300)))
+        assert trace.n_evals == handle.eval_count > 200
 
 
 @pytest.mark.parametrize("name", sorted(CLASSICAL_FUNCTIONS))

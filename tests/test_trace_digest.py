@@ -11,7 +11,9 @@ The solver calls no BLAS (``test_blas_kernel.py``), but an objective may.
 The schoen cases call ``np.dot``, which OpenBLAS computes, and ``np.exp``;
 ``classical20#3`` (a shifted ackley) calls ``np.exp``, whose SIMD kernel
 numpy picks for the host.  Those digests can differ on a host whose kernels
-round differently.  The rastrigin cases use only ``np.cos`` and held under
+round differently.  ``classical20#12`` (booth) calls the C library's
+``pow`` on numpy scalars, so its digests also depend on the host's C
+library; they pass with glibc 2.36.  The rastrigin cases use only ``np.cos`` and held under
 every OpenBLAS kernel and numpy SIMD setting tried.
 """
 
