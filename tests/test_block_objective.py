@@ -86,13 +86,6 @@ def direct_run(handle, budget):
 # (0, 1, 2, 4, 6) with 4, 2, 4, 4 and 4 evaluations: evaluations 8-25.
 
 
-def test_rastrigin_like_rows_match_single_points():
-    reference = direct_run(unit_handle(rastrigin_like, 2), 25)
-    points = np.array([e.point for e in reference.evals])
-    values = np.array([e.value for e in reference.evals])
-    assert np.asarray(rastrigin_like(points)).tobytes() == values.tobytes()
-
-
 def test_solve_mid_block_records_the_exact_index():
     reference = direct_run(unit_handle(rastrigin_like, 2), 100)
     assert reference.iterations[2].selected == (0, 1, 2, 4, 6)
