@@ -119,8 +119,9 @@ class PartitionLedger:
     The size of a row is its level vector: side ``j`` has been trisected
     ``levels[j]`` times.  Only longest sides are ever cut, so the levels of
     a row lie in ``{k, k + 1}`` for some ``k``.  ``append`` rejects any
-    other row; the rows ``divide`` stores come from ``divide_partition``,
-    and the property tests check that they keep this form.  So the depth
+    other row; the rows ``divide`` stores come from
+    ``partitioning.divide_partition``, which samples and trisects a block
+    in one pass, and the property tests check that they keep this form.  So the depth
     is a row's size: rows of one depth have the same sides up to order and
     one ``half_diagonal_table`` entry, and a greater depth means a strictly
     smaller box.  Slope rows hold nonnegative absolute difference quotients
@@ -229,8 +230,8 @@ class PartitionLedger:
         ``levels`` and ``slopes`` are stacked parents first: their first
         ``len(pids)`` rows replace those of ``pids``, the rest go to the
         children, whose centers and values are ``centers`` and ``values``.
-        ``divide_partition`` computes every row.  Returns the new ids in
-        row order.
+        ``divide_partition`` computes every row from the block's samples.
+        Returns the new ids in row order.
         """
         first = self._reserve(len(centers))
         end = first + len(centers)

@@ -1,7 +1,8 @@
 """Blending of cached slope norms, and lower bounds.
 
 Each partition carries a vector of absolute difference quotients along the
-coordinate axes, written when it is divided (see ``divide_partition``); the
+coordinate axes, written from the samples of its division (see
+``partitioning.divide_partition``); the
 ledger caches each row's norm as it writes the row
 (``PartitionLedger.slope_norms``).  The blend of a partition's own slope
 norm with the ledger-wide maximum gives the local constant used to form

@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import ObjectiveError, ObjectiveHandle, PartitionLedger, StopRule
 from .lipschitz import global_slope_max
 from .local_search import RUN, SELECT_FOR_DIVISION, gate_local_search, start_local_search
-from .partitioning import divide_partition, evaluate_samples, init_root, plan_samples
+from .partitioning import divide_partition, init_root
 from .selection import CarriedBounds, select_halo, select_potentially_optimal
 
 VARIANTS = ("halo", "hlo", "direct")
@@ -111,9 +111,10 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     and has its slopes refreshed, in blocks: all of an iteration's, or,
     when a local search starts, the ones chosen before it and then the
     rest.  The solved check fires after every single evaluation, so the
-    evaluation count at which a problem is solved is exact; sampling
-    pre-checks the budget so a division either happens completely or not
-    at all, and the first division that does not fit ends the run.
+    evaluation count at which a problem is solved is exact; a block is
+    cut to the longest prefix whose evaluations fit the budget before any
+    of it is sampled, so a division either happens completely or not at
+    all, and the first division that does not fit ends the run.
 
     An iteration that chooses nothing ends the run with ``stalled``: the
     ledger would not change, so every later iteration would choose nothing
@@ -166,19 +167,26 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     def divide_pending() -> None:
         """Sample and divide the pending block, or its longest prefix that fits the budget.
 
-        If the sampling stops early, the divisions completed before the
-        stopping one still reach the ledger.
+        A box of depth ``d`` has ``n - d % n`` longest sides, since its levels
+        lie in ``{k, k + 1}``, and costs two evaluations per longest side.  If
+        the sampling stops early, the divisions completed before the stopping
+        one still reach the ledger.
         """
         nonlocal budget_hit
         if not pending:
             return
-        plan = plan_samples(ledger, pending, stop.max_fun_evals - obj.eval_count)
-        budget_hit = len(plan.parent_ids) < len(pending)
+        n = ledger.dim
+        room = stop.max_fun_evals - obj.eval_count
+        fits = 0
+        for d in ledger.depths[pending].tolist():
+            room -= 2 * (n - d % n)
+            if room < 0:
+                break
+            fits += 1
+        block = pending[:fits]
+        budget_hit = fits < len(pending)
         pending.clear()
-        try:
-            evaluate_samples(plan, obj, on_eval=record)
-        finally:
-            divide_partition(ledger, plan)
+        divide_partition(ledger, block, obj, on_eval=record)
 
     status = STATUS_ITER_LIMIT
     try:

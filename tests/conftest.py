@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from halo.geometry import BoxDomain, ObjectiveHandle, PartitionLedger
-from halo.partitioning import evaluate_samples, plan_samples
+
 
 def make_handle(fn, lower, upper, known_optimum=None):
     return ObjectiveHandle(
@@ -16,13 +16,6 @@ def make_handle(fn, lower, upper, known_optimum=None):
 
 def unit_handle(fn, n, known_optimum=None):
     return make_handle(fn, np.zeros(n), np.ones(n), known_optimum=known_optimum)
-
-
-def sampled_plan(ledger, pids, obj):
-    """The plan of ``pids``, evaluated whole."""
-    plan = plan_samples(ledger, pids)
-    evaluate_samples(plan, obj)
-    return plan
 
 
 def cut_order(ledger, before, children):

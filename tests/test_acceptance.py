@@ -20,12 +20,12 @@ from halo.local_search import SELECT_FOR_DIVISION
 from halo.manifest import load_manifest
 from halo.metrics import auoc, run_benchmark, step_curve, variable_importance
 from halo.metrics import RunRecord
-from halo.partitioning import divide_partition, evaluate_samples, init_root, plan_samples
+from halo.partitioning import divide_partition, init_root
 from halo.problems import classical_problem, rastrigin, shift_minimizer
 from halo.selection import select_halo, select_potentially_optimal
 from halo.solver import SolverConfig, run
 
-from conftest import class_diagonals, random_ledger, unit_handle
+from conftest import class_diagonals, cut_order, random_ledger, unit_handle
 from oracles import brute_force_halo_selection, kgrid_potentially_optimal
 
 SCHOEN30 = "benchmarks/schoen30.jsonl"
@@ -95,12 +95,11 @@ def test_criterion_2_affine_slope_exactness():
         all_coords_divided = False
         for _ in range(15):
             pid = int(np.argmax(ledger.half_diagonals()))
-            plan = plan_samples(ledger, pid)
-            evaluate_samples(plan, h)
-            divide_partition(ledger, plan)
-            for coord in plan.coords.tolist():
+            before = ledger.levels[pid].copy()
+            coords = cut_order(ledger, before, divide_partition(ledger, pid, h))
+            for coord in coords:
                 assert abs(ledger.slopes[pid][coord] - abs(a[coord])) <= 1e-12
-            if set(plan.coords.tolist()) == {0, 1, 2}:
+            if set(coords) == {0, 1, 2}:
                 all_coords_divided = True
             if all_coords_divided:
                 assert abs(global_slope_max(ledger) - np.linalg.norm(a)) <= 1e-9

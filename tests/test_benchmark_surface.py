@@ -18,7 +18,7 @@ from conftest import unit_handle
 
 def test_the_names_the_benchmark_uses_resolve():
     assert callable(halo.geometry.denormalize_point)
-    assert callable(halo.partitioning.divide_partition)
+    assert halo.solver.divide_partition is halo.partitioning.divide_partition
     assert halo.solver.select_halo is halo.selection.select_halo
     assert halo.metrics.run is halo.solver.run
     assert callable(halo.manifest.schoen_manifest)
@@ -37,6 +37,11 @@ def test_the_names_the_benchmark_uses_resolve():
     assert callable(problem.make_handle)
     cfg = SolverConfig(stop=StopRule(max_fun_evals=20))
     trace = halo.run(unit_handle(lambda x: float(np.sum(x**2)), 2), cfg)
+    # the harness counts children as the length of what a division returns
+    handle = unit_handle(lambda x: float(np.sum(x**2)), 2)
+    ledger = halo.partitioning.init_root(handle)
+    assert halo.partitioning.divide_partition(ledger, [0], handle) == [1, 2, 3, 4]
+    assert len(ledger) == 5
     for name in ("n_evals", "iterations", "ledger", "n_local_evals", "best_value"):
         assert hasattr(trace, name), name
     for i, e in enumerate(trace.evals, start=1):

@@ -17,9 +17,9 @@ from halo.geometry import (
     denormalize_point,
     half_diagonal_table,
 )
-from halo.partitioning import divide_partition, plan_samples
+from halo.partitioning import divide_partition
 
-from conftest import ledger_bytes, tiles_cube
+from conftest import ledger_bytes, tiles_cube, unit_handle
 
 
 def test_denormalize_midpoint():
@@ -298,23 +298,30 @@ def test_ledger_rejects_unreachable_levels():
     assert ledger.depths.tolist() == [7]
 
 
-def evaluated_plan(ledger, pids, values):
-    """The plan ``plan_samples`` places for ``pids``, with objective ``values`` given by hand."""
-    plan = plan_samples(ledger, pids)
-    plan.values = [float(v) for v in values]
-    return plan
+def step(center, p, delta):
+    """``center`` moved by ``delta`` along coordinate ``p``, as a tuple."""
+    point = list(center)
+    point[p] += delta
+    return tuple(point)
+
+
+def lookup_handle(n, values):
+    """Unit-cube handle worth ``values[point]`` at each listed point; any other point raises."""
+    return unit_handle(lambda x: values[tuple(x.tolist())], n)
 
 
 def test_trisect_cuts_only_longest_sides_and_refreshes_caches():
     ledger = PartitionLedger(3)
     ledger.append(np.full(3, 0.5), [1, 0, 0], 0.0)
     # sides 1 and 2 are the longest; side 2 holds the lower value, so it is cut first
-    plan = evaluated_plan(ledger, [0], [4.0, 5.0, 1.0, 6.0])
-    assert divide_partition(ledger, plan) == [1, 2, 3, 4]
+    center, delta = (0.5, 0.5, 0.5), float(2.0 * HALF_SIDES[0] / 3.0)
+    points = [step(center, 1, delta), step(center, 1, -delta), step(center, 2, delta), step(center, 2, -delta)]
+    h = lookup_handle(3, dict(zip(points, [4.0, 5.0, 1.0, 6.0])))
+    assert divide_partition(ledger, [0], h) == [1, 2, 3, 4]
     assert ledger.levels.tolist() == [[1, 1, 1], [1, 0, 1], [1, 0, 1], [1, 1, 1], [1, 1, 1]]
     assert ledger.depths.tolist() == [3, 2, 2, 3, 3]
     assert ledger.values.tolist() == [0.0, 1.0, 6.0, 4.0, 5.0]
-    assert ledger.centers[1:].tobytes() == plan.points[[2, 3, 0, 1]].tobytes()
+    assert ledger.centers[1:].tobytes() == np.array(points)[[2, 3, 0, 1]].tobytes()
     assert ledger.half_diagonals().tobytes() == np.linalg.norm(HALF_SIDES[np.sort(ledger.levels, axis=1)], axis=1).tobytes()
 
 
@@ -323,7 +330,14 @@ def test_block_divide_appends_children_in_block_order():
     ledger.append([0.5, 0.5], [0, 1], 0.0)
     ledger.append([0.5, 0.2], [1, 1], 1.0)
     # partition 1 cuts 1 then 0, partition 0 its one longest side 0
-    ids = divide_partition(ledger, evaluated_plan(ledger, [1, 0], [3.0, 3.0, 2.0, 2.0, 3.0, 3.0]))
+    first, second = float(2.0 * HALF_SIDES[0] / 3.0), float(2.0 * HALF_SIDES[1] / 3.0)
+    h = lookup_handle(2, {
+        step((0.5, 0.2), 0, second): 3.0, step((0.5, 0.2), 0, -second): 3.0,
+        step((0.5, 0.2), 1, second): 2.0, step((0.5, 0.2), 1, -second): 2.0,
+        step((0.5, 0.5), 0, first): 3.0, step((0.5, 0.5), 0, -first): 3.0,
+    })
+    ids = divide_partition(ledger, [1, 0], h)
+    assert h.eval_count == 6
     assert ids == [2, 3, 4, 5, 6, 7]
     assert ledger.levels.tolist() == [
         [1, 1], [2, 2],
@@ -341,7 +355,10 @@ def test_divide_partition_below_float_resolution_raises_and_writes_nothing():
     ledger.append([0.5, 0.5], [0, 0], 0.0)
     ledger.append([0.5, 0.5], [MAX_LEVEL, MAX_LEVEL], 0.0)
     before = ledger_bytes(ledger)
-    # the division of partition 0 completes too, but nothing of the block is written
+    h = unit_handle(lambda x: 0.0, 2)
+    seen = []
+    # the block raises before anything of it, partition 0 included, is evaluated
     with pytest.raises(ZeroDivisionError):
-        divide_partition(ledger, evaluated_plan(ledger, [0, 1], np.zeros(8)))
+        divide_partition(ledger, [0, 1], h, on_eval=lambda q, f: seen.append(q))
+    assert h.eval_count == 0 and seen == []
     assert len(ledger) == 2 and ledger_bytes(ledger) == before

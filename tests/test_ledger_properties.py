@@ -5,11 +5,12 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from halo.geometry import HALF_SIDES, StopRule
-from halo.partitioning import divide_partition, evaluate_samples, plan_samples
+from halo.geometry import HALF_SIDES, MAX_LEVEL, PartitionLedger, StopRule
+from halo.partitioning import divide_partition
 from halo.solver import VARIANTS, SolverConfig, run
 
 from conftest import ledger_bytes, random_objective, tiles_cube, unit_handle
@@ -97,28 +98,56 @@ def test_block_division_matches_one_at_a_time(seed, n, budget, variant, picks, a
     chosen = list(dict.fromkeys(p % len(ledger) for p in picks))
     ref = ReferenceLedger(ledger)
 
-    # the block path, as the solver takes it: the prefix that fits
-    # ``allowance`` evaluations, written even when ``on_eval`` stops it
+    # the longest prefix of ``chosen`` whose divisions fit ``allowance``
+    # evaluations, priced on the reference's level rows; dividing one id
+    # leaves the rows of the others as they were
+    block, cost = [], 0
+    for pid in chosen:
+        levels = ref.levels[pid]
+        cost += 2 * levels.count(min(levels))
+        if cost > allowance:
+            break
+        block.append(pid)
+
+    # the block path, as the solver takes it: written even when ``on_eval`` stops it
     evaluated = []
     seen, on_eval = recorder(stop_at)
     handle = unit_handle(lambda x: evaluated.append(x.tobytes()) or fn(x), n)
-    plan = plan_samples(ledger, chosen, allowance)
     with contextlib.suppress(Stop):
-        try:
-            evaluate_samples(plan, handle, on_eval)
-        finally:
-            divide_partition(ledger, plan)
+        divide_partition(ledger, block, handle, on_eval)
 
     ref_evaluated = []
     ref_seen, ref_on_eval = recorder(stop_at)
     ref_handle = unit_handle(lambda x: ref_evaluated.append(x.tobytes()) or fn(x), n)
     with contextlib.suppress(Stop):
-        for pid in chosen:
-            levels = ref.levels[pid]
-            if ref_handle.eval_count + 2 * levels.count(min(levels)) > allowance:
-                break
+        for pid in block:
             divide_one_at_a_time(ref, pid, ref_handle, ref_on_eval)
 
     assert evaluated == ref_evaluated
     assert seen == ref_seen
     assert ledger_bytes(ledger) == [column.tobytes() for column in ref.columns()]
+
+
+@given(
+    n=st.integers(min_value=1, max_value=10),
+    k=st.integers(min_value=0, max_value=MAX_LEVEL),
+    raised=st.lists(st.booleans(), min_size=10, max_size=10),
+)
+@example(n=3, k=MAX_LEVEL - 1, raised=[True, False, True] + [False] * 7)
+@example(n=3, k=MAX_LEVEL - 1, raised=[True] * 10)
+@example(n=3, k=MAX_LEVEL, raised=[False] * 10)
+@settings(max_examples=200, deadline=None)
+def test_division_cost_is_read_from_the_depth(n, k, raised):
+    # the solver prices the division of a depth-d box at 2 * (n - d % n)
+    # evaluations: its levels lie in {k, k + 1}, so that many sides are longest
+    levels = [k + (r and k < MAX_LEVEL) for r in raised[:n]]
+    ledger = PartitionLedger(n)
+    ledger.append(np.full(n, 0.5), levels, 0.0)
+    depth = int(ledger.depths[0])
+    assert n - depth % n == levels.count(min(levels))
+    handle = unit_handle(lambda x: 0.0, n)
+    if min(levels) == MAX_LEVEL:
+        with pytest.raises(ZeroDivisionError):
+            divide_partition(ledger, 0, handle)
+    else:
+        assert len(divide_partition(ledger, 0, handle)) == handle.eval_count == 2 * (n - depth % n)

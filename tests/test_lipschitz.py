@@ -7,14 +7,14 @@ from halo.geometry import HALF_SIDES, PartitionLedger
 from halo.lipschitz import blend, blend_constants, global_slope_max, lower_bounds
 from halo.partitioning import divide_partition, init_root
 
-from conftest import cut_order, sampled_plan, unit_handle
+from conftest import cut_order, unit_handle
 from oracles import blend_local_constant, central_difference
 
 
 def divide_once(h, ledger, pid):
     """Divide ``pid``; returns its cut order, read from the ledger rows, and the new ids."""
     before = ledger.levels[pid].copy()
-    children = divide_partition(ledger, sampled_plan(ledger, pid, h))
+    children = divide_partition(ledger, pid, h)
     return cut_order(ledger, before, children), children
 
 

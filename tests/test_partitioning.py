@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from halo.geometry import HALF_SIDES, PartitionLedger, StopRule
-from halo.partitioning import divide_partition, evaluate_samples, init_root, plan_samples
-from halo.solver import SolverConfig, run
+from halo.partitioning import divide_partition, init_root
+from halo.solver import STATUS_BUDGET, SolverConfig, run
 
-from conftest import cut_order, sampled_plan, tiles_cube, unit_handle
+from conftest import cut_order, tiles_cube, unit_handle
 
 
 def lookup_objective(plus, minus):
@@ -47,63 +47,69 @@ def test_init_root_n10():
 
 
 def test_longest_sides_tie():
+    # equal values cut the longest sides in ascending order
     h = unit_handle(lambda x: 0.0, 2)
     ledger = init_root(h)
-    assert plan_samples(ledger, 0).coords.tolist() == [0, 1]
+    assert cut_order(ledger, [0, 0], divide_partition(ledger, 0, h)) == [0, 1]
 
 
 def test_longest_sides_single():
+    h = unit_handle(lambda x: 0.0, 2)
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [0, 1], 0.0)
     assert HALF_SIDES[ledger.levels[0, 1]] == 1.0 / 6.0
-    assert plan_samples(ledger, 0).coords.tolist() == [0]
+    assert cut_order(ledger, [0, 1], divide_partition(ledger, 0, h)) == [0]
 
 
 def test_longest_sides_last_coord():
+    h = unit_handle(lambda x: 0.0, 3)
     ledger = PartitionLedger(3)
     ledger.append([0.5, 0.5, 0.5], [1, 1, 0], 0.0)
-    assert plan_samples(ledger, 0).coords.tolist() == [2]
+    assert cut_order(ledger, [1, 1, 0], divide_partition(ledger, 0, h)) == [2]
 
 
 def test_sample_root_unit_square():
     h = unit_handle(lambda x: float(np.sum(x**2)), 2)
     ledger = init_root(h)
-    plan = sampled_plan(ledger, 0, h)
-    assert plan.deltas[0] == pytest.approx(1.0 / 3.0)
-    assert plan.coords.tolist() == [0, 1]
+    ids = divide_partition(ledger, 0, h)
+    points = ledger.centers[ids]
+    assert np.abs(points - 0.5).max(axis=1) == pytest.approx([1.0 / 3.0] * 4)
+    assert cut_order(ledger, [0, 0], ids) == [0, 1]
     assert h.eval_count == 5  # root + 4 samples
     expected = {(0.5 + 1 / 3, 0.5), (0.5 - 1 / 3, 0.5), (0.5, 0.5 + 1 / 3), (0.5, 0.5 - 1 / 3)}
-    got = {tuple(np.round(p, 12)) for p in plan.points}
+    got = {tuple(np.round(p, 12)) for p in points}
     assert got == {tuple(np.round(np.array(e), 12)) for e in expected}
 
 
 def test_sample_root_1d():
     h = unit_handle(lambda x: float(x[0]), 1)
     ledger = init_root(h)
-    plan = sampled_plan(ledger, 0, h)
-    assert plan.points[0::2][0][0] == pytest.approx(5.0 / 6.0)
-    assert plan.points[1::2][0][0] == pytest.approx(1.0 / 6.0)
+    ids = divide_partition(ledger, 0, h)
+    assert ledger.centers[ids[0]][0] == pytest.approx(5.0 / 6.0)
+    assert ledger.centers[ids[1]][0] == pytest.approx(1.0 / 6.0)
 
 
 def test_sample_rectangle_only_longest():
     h = unit_handle(lambda x: float(np.sum(x)), 2)
     ledger = PartitionLedger(2)
     ledger.append([0.5, 0.5], [1, 0], h.eval_normalized([0.5, 0.5]))
-    plan = sampled_plan(ledger, 0, h)
-    assert plan.coords.tolist() == [1]
-    assert plan.deltas[0] == pytest.approx(1.0 / 3.0)
-    assert plan.points[0::2][0][0] == 0.5  # untouched coordinate
-    assert plan.points[0::2][0][1] == pytest.approx(0.5 + 1.0 / 3.0)
+    ids = divide_partition(ledger, 0, h)
+    assert cut_order(ledger, [1, 0], ids) == [1]
+    assert len(ids) == 2 and h.eval_count == 3
+    assert ledger.centers[ids[0]][0] == 0.5  # untouched coordinate
+    assert ledger.centers[ids[0]][1] == pytest.approx(0.5 + 1.0 / 3.0)
+    assert ledger.centers[ids[1]][1] == pytest.approx(0.5 - 1.0 / 3.0)
 
 
 def test_sample_points_inside_parent_box():
     rng = np.random.default_rng(3)
     h = unit_handle(lambda x: float(rng.standard_normal()), 3)
     ledger = init_root(h)
-    plan = sampled_plan(ledger, 0, h)
-    center = ledger.centers[0]
+    center = ledger.centers[0].copy()
     sides = HALF_SIDES[ledger.levels[0]]
-    for p in plan.points:
+    ids = divide_partition(ledger, 0, h)
+    assert len(ids) == 6
+    for p in ledger.centers[ids]:
         assert np.all(np.abs(p - center) <= sides + 1e-15)
 
 
@@ -122,8 +128,9 @@ def test_sampling_evaluates_and_records_one_point_at_a_time():
             raise Stop
 
     with pytest.raises(Stop):
-        evaluate_samples(plan_samples(ledger, 0), h, on_eval)
+        divide_partition(ledger, 0, h, on_eval)
     assert len(evaluated) == 4 and h.eval_count == 4  # root + 3 samples
+    assert len(ledger) == 1  # no division completed
     delta = 2.0 * float(HALF_SIDES[0]) / 3.0
     expected = []
     for coord, step in ((0, delta), (0, -delta), (1, delta)):  # +e0, -e0, +e1
@@ -136,20 +143,20 @@ def test_sampling_evaluates_and_records_one_point_at_a_time():
 
 def test_sample_budget_pre_check_spends_nothing():
     h = unit_handle(lambda x: 0.0, 2)
-    ledger = init_root(h)
-    plan = plan_samples(ledger, 0, 3)  # the root needs 4 evaluations, only 3 fit
-    assert plan.parent_ids.size == 0 and plan.points.shape == (0, 2)
-    evaluate_samples(plan, h)
-    assert h.eval_count == 1
-    assert divide_partition(ledger, plan) == []
-    assert len(ledger) == 1
+    trace = run(h, SolverConfig(variant="direct", stop=StopRule(max_fun_evals=4)))
+    # the root's division needs 4 evaluations, only 3 fit
+    assert trace.status == STATUS_BUDGET
+    assert h.eval_count == trace.n_evals == 1
+    assert len(trace.ledger) == 1
+    assert divide_partition(trace.ledger, [], h) == []
+    assert h.eval_count == 1 and len(trace.ledger) == 1
 
 
 def test_division_order_sorts_by_min_value_then_coord():
     fn = lookup_objective(plus=[5.0, 1.0, 3.0], minus=[9.0, 2.0, 1.0])
     h = unit_handle(fn, 3)
     ledger = init_root(h)
-    ids = divide_partition(ledger, sampled_plan(ledger, 0, h))
+    ids = divide_partition(ledger, 0, h)
     assert cut_order(ledger, [0, 0, 0], ids) == [1, 2, 0]
     # rows 2j and 2j + 1 are center +/- delta along the coordinate of cut j, with their values
     delta = 2.0 * HALF_SIDES[0] / 3.0
@@ -162,15 +169,14 @@ def test_division_order_sorts_by_min_value_then_coord():
     # exact tie between coords 0 and 2 -> lower coordinate first
     h = unit_handle(lookup_objective(plus=[1.0, 5.0, 1.0], minus=[2.0, 6.0, 3.0]), 3)
     ledger = init_root(h)
-    ids = divide_partition(ledger, sampled_plan(ledger, 0, h))
+    ids = divide_partition(ledger, 0, h)
     assert cut_order(ledger, [0, 0, 0], ids) == [0, 2, 1]
 
 
 def test_divide_root_n2_order_0_then_1():
     h = unit_handle(lookup_objective(plus=[1.0, 3.0], minus=[2.0, 4.0]), 2)
     ledger = init_root(h)
-    plan = sampled_plan(ledger, 0, h)
-    ids = divide_partition(ledger, plan)
+    ids = divide_partition(ledger, 0, h)
     assert ids == [1, 2, 3, 4]
     sides = {i: tuple(HALF_SIDES[ledger.levels[i]]) for i in range(5)}
     third, half = 0.5 / 3.0, 0.5
@@ -182,8 +188,7 @@ def test_divide_root_n2_order_0_then_1():
 def test_divide_root_n2_order_1_then_0_mirrors():
     h = unit_handle(lookup_objective(plus=[3.0, 1.0], minus=[4.0, 2.0]), 2)
     ledger = init_root(h)
-    plan = sampled_plan(ledger, 0, h)
-    divide_partition(ledger, plan)
+    divide_partition(ledger, 0, h)
     third, half = 0.5 / 3.0, 0.5
     assert tuple(HALF_SIDES[ledger.levels[1]]) == (half, third)
     assert tuple(HALF_SIDES[ledger.levels[2]]) == (half, third)
@@ -193,8 +198,7 @@ def test_divide_root_n2_order_1_then_0_mirrors():
 def test_divide_root_1d():
     h = unit_handle(lambda x: float(x[0]), 1)
     ledger = init_root(h)
-    plan = sampled_plan(ledger, 0, h)
-    divide_partition(ledger, plan)
+    divide_partition(ledger, 0, h)
     assert len(ledger) == 3
     assert np.allclose(HALF_SIDES[ledger.levels], 1.0 / 6.0)
     assert tiles_cube(ledger)
@@ -215,8 +219,7 @@ def test_lowest_new_value_gets_longest_child_diagonal():
     rng = np.random.default_rng(11)
     h = unit_handle(lambda x: float(rng.uniform()), 3)
     ledger = init_root(h)
-    plan = sampled_plan(ledger, 0, h)
-    ids = divide_partition(ledger, plan)
+    ids = divide_partition(ledger, 0, h)
     diags = {i: float(np.linalg.norm(HALF_SIDES[ledger.levels[i]])) for i in ids}
     values = {i: float(ledger.values[i]) for i in ids}
     best = min(ids, key=lambda i: values[i])
@@ -236,8 +239,7 @@ def test_strict_nesting_forced_chain():
     ledger = init_root(h)
     previous = np.linalg.norm(HALF_SIDES[ledger.levels[0]])
     for _ in range(30):
-        plan = sampled_plan(ledger, 0, h)
-        divide_partition(ledger, plan)
+        divide_partition(ledger, 0, h)
         current = np.linalg.norm(HALF_SIDES[ledger.levels[0]])
         assert current < previous
         previous = current

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from halo.geometry import ObjectiveHandle, StopRule
-from halo.partitioning import _DELTAS, evaluate_samples, init_root, plan_samples
+from halo.partitioning import _DELTAS, divide_partition, init_root
 from halo.problems import (
     BENCHMARK_DIMS,
     CLASSICAL_FUNCTIONS,
@@ -118,9 +118,7 @@ def test_point_only_functions_never_take_a_block(monkeypatch):
         handle = classical_problem(name, 2).make_handle()
         assert not handle.vectorized
         ledger = init_root(handle)
-        plan = plan_samples(ledger, 0)
-        evaluate_samples(plan, handle)
-        assert len(plan.values) == 4 and handle.eval_count == 5
+        assert len(divide_partition(ledger, 0, handle)) == 4 and handle.eval_count == 5
         handle = classical_problem(name, 2).make_handle()
         handle.known_optimum = None
         trace = run(handle, SolverConfig("direct", stop=StopRule(300)))
