@@ -121,11 +121,12 @@ class PartitionLedger:
     a row lie in ``{k, k + 1}`` for some ``k``.  ``append`` rejects any
     other row; the rows ``divide`` stores come from
     ``partitioning.divide_partition``, which samples and trisects a block
-    in one pass, and the property tests check that they keep this form.  So the depth
-    is a row's size: rows of one depth have the same sides up to order and
-    one ``half_diagonal_table`` entry, and a greater depth means a strictly
-    smaller box.  Slope rows hold nonnegative absolute difference quotients
-    along each axis, in objective units per normalized length.
+    in one pass, and the property tests check that they keep this form.  So
+    the depth is a row's size: rows of one depth have the same sides up to
+    order and one ``half_diagonal_table`` entry, and a greater depth means
+    a strictly smaller box.  Slope rows hold nonnegative absolute
+    difference quotients along each axis, in objective units per normalized
+    length.
 
     Two columns are cached when a row is written: the depth
     ``levels.sum()`` and the slope norm ``norm(slopes)``.  So that they

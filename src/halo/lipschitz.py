@@ -2,14 +2,14 @@
 
 Each partition carries a vector of absolute difference quotients along the
 coordinate axes, written from the samples of its division (see
-``partitioning.divide_partition``); the
-ledger caches each row's norm as it writes the row
-(``PartitionLedger.slope_norms``).  The blend of a partition's own slope
-norm with the ledger-wide maximum gives the local constant used to form
-lower bounds.  Both read a partition's size as its depth's half diagonal
-and work on the whole ledger or on a subset of its rows, with the same
-elementwise expressions, so a row's constant and bound have the same bits
-either way; ``select_halo`` recomputes and reads only the rows that changed.
+``partitioning.divide_partition``); the ledger caches each row's norm as it
+writes the row (``PartitionLedger.slope_norms``).  The blend of a
+partition's own slope norm with the ledger-wide maximum gives the local
+constant used to form lower bounds.  Both read a partition's size as its
+depth's half diagonal and work on the whole ledger or on a subset of its
+rows, with the same elementwise expressions, so a row's constant and bound
+have the same bits either way; ``select_halo`` recomputes and reads only
+the rows that changed.
 """
 
 from __future__ import annotations
