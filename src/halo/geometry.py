@@ -58,6 +58,10 @@ def half_diagonal_table(n: int) -> np.ndarray:
 # Rows a new ledger holds before its columns first grow (then double).
 _INITIAL_CAPACITY = 64
 
+# The ledger's columns: ``PartitionLedger._<name>`` is stored, and the
+# read-only ``_views[<name>]`` is handed out up to the row count.
+_COLUMNS = ("centers", "levels", "values", "slopes", "depths", "slope_norms")
+
 
 class DomainViolationError(ValueError):
     """A point lies outside the box it is being mapped against."""
@@ -131,7 +135,8 @@ class PartitionLedger:
     Two columns are cached when a row is written: the depth
     ``levels.sum()`` and the slope norm ``norm(slopes)``.  So that they
     cannot go stale, every column is handed out as a read-only view; rows
-    change only through ``append`` and ``divide``.
+    change only through ``append`` and ``divide``, which take rows of the
+    ledger's dimension only.
 
     Rows are never deleted: dividing a partition trisects it in place and
     appends the new children, so the set of rows always tiles the unit
@@ -149,6 +154,7 @@ class PartitionLedger:
         self._depths = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
         self._slope_norms = np.zeros(_INITIAL_CAPACITY)
         self._count = 0
+        self._make_views()
 
     def __len__(self) -> int:
         return self._count
@@ -157,41 +163,45 @@ class PartitionLedger:
     def dim(self) -> int:
         return self._dim
 
-    def _view(self, column: np.ndarray) -> np.ndarray:
-        view = column[: self._count]
-        view.flags.writeable = False
-        return view
+    def _make_views(self):
+        # once per growth: a slice of a read-only view is read-only itself
+        self._views = {}
+        for name in _COLUMNS:
+            view = getattr(self, "_" + name).view()
+            view.flags.writeable = False
+            self._views[name] = view
 
     @property
     def centers(self) -> np.ndarray:
         """View of all centers, shape (count, dim). Stale after append."""
-        return self._view(self._centers)
+        return self._views["centers"][: self._count]
 
     @property
     def levels(self) -> np.ndarray:
         """View of the trisection level of every side, shape (count, dim)."""
-        return self._view(self._levels)
+        return self._views["levels"][: self._count]
 
     @property
     def depths(self) -> np.ndarray:
         """View of every row's total level ``levels.sum()``."""
-        return self._view(self._depths)
+        return self._views["depths"][: self._count]
 
     @property
     def values(self) -> np.ndarray:
-        return self._view(self._values)
+        return self._views["values"][: self._count]
 
     @property
     def slopes(self) -> np.ndarray:
-        return self._view(self._slopes)
+        return self._views["slopes"][: self._count]
 
     def _grow(self):
         cap = 2 * self._centers.shape[0]
-        for name in ("_centers", "_levels", "_values", "_slopes", "_depths", "_slope_norms"):
-            old = getattr(self, name)
+        for name in _COLUMNS:
+            old = getattr(self, "_" + name)
             new = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
             new[: self._count] = old[: self._count]
-            setattr(self, name, new)
+            setattr(self, "_" + name, new)
+        self._make_views()
 
     def _write(self, rows, levels: np.ndarray, slopes: np.ndarray):
         """Store level and slope rows at ``rows`` and fill their cached columns."""
@@ -200,9 +210,10 @@ class PartitionLedger:
         self._levels[rows] = levels
         self._slopes[rows] = slopes
         self._depths[rows] = levels.sum(axis=1)
-        # the axis-1 norm of a block has, row by row, the bits of the same
-        # rows within a whole-matrix axis-1 norm
-        self._slope_norms[rows] = np.linalg.norm(slopes, axis=1)
+        # np.linalg.norm(slopes, axis=1) without its wrapper; reducing each
+        # row over its own contiguous axis gives it, row by row, the bits of
+        # the same row within a whole-matrix norm
+        self._slope_norms[rows] = np.sqrt(np.add.reduce(slopes * slopes, axis=1))
 
     def _reserve(self, k: int) -> int:
         """Make room for ``k`` more rows; returns the first new id."""
@@ -217,9 +228,13 @@ class PartitionLedger:
         low, high = levels.min(), levels.max()
         if low < 0 or high > low + 1 or high > MAX_LEVEL:
             raise ValueError(f"levels {levels} are not {{k, k + 1}} within 0..{MAX_LEVEL}")
+        center = np.asarray(center, dtype=float)
         slopes = np.zeros(self._dim) if slopes is None else np.asarray(slopes, dtype=float)
+        # checked, not broadcast: a short slope row would cache the wrong norm
+        if center.shape != (self._dim,) or slopes.shape != (self._dim,):
+            raise ValueError(f"center and slopes must be {self._dim} floats, got {center!r} and {slopes!r}")
         i = self._reserve(1)
-        self._centers[i] = np.asarray(center, dtype=float)
+        self._centers[i] = center
         self._values[i] = float(value)
         self._write(slice(i, i + 1), levels[None], slopes[None])
         self._count += 1
@@ -228,12 +243,15 @@ class PartitionLedger:
     def divide(self, pids, centers, values, levels, slopes) -> list[int]:
         """Rewrite rows ``pids`` and append one child row per row of ``centers``.
 
-        ``levels`` and ``slopes`` are stacked parents first: their first
-        ``len(pids)`` rows replace those of ``pids``, the rest go to the
-        children, whose centers and values are ``centers`` and ``values``.
-        ``divide_partition`` computes every row from the block's samples.
+        ``levels`` and ``slopes`` are stacked parents first, as sequences of
+        rows or as arrays: their first ``len(pids)`` rows replace those of
+        ``pids``, the rest go to the children, whose centers and values are
+        ``centers`` and ``values``.  ``divide_partition`` computes every row
+        from the block's samples and hands over the lists it built them in.
         Returns the new ids in row order.
         """
+        levels = np.array(levels, dtype=self._levels.dtype)
+        slopes = np.array(slopes, dtype=float)
         first = self._reserve(len(centers))
         end = first + len(centers)
         # rows past the count first: a rejected call leaves the ledger as it was
@@ -251,7 +269,7 @@ class PartitionLedger:
 
     def slope_norms(self) -> np.ndarray:
         """View of every slope row's Euclidean norm."""
-        return self._view(self._slope_norms)
+        return self._views["slope_norms"][: self._count]
 
 
 # Callback told of each evaluation: the normalized point and its value.
@@ -322,7 +340,8 @@ class ObjectiveHandle:
         q = np.asarray(q, dtype=float)
         if q.ndim > 2 or q.shape[-1:] != self.domain.lower.shape:
             raise DomainViolationError(f"points have shape {q.shape}, domain is {self.domain.dim}-dimensional")
-        return self.domain.lower + np.clip(q, 0.0, 1.0) * self.domain.widths
+        # np.clip's bits but for q = -0.0, which becomes 0.0, without its wrapper
+        return self.domain.lower + np.minimum(np.maximum(q, 0.0), 1.0) * self.domain.widths
 
     def eval_normalized(self, q) -> float:
         """Evaluate at one normalized point, mapped as a one-row block."""

@@ -139,8 +139,6 @@ def divide_partition(
             start = end
             kept += 1
         children = ledger.divide(
-            ids[:kept], qs[rows], np.array(values)[rows],
-            np.array(levels[:kept] + child_levels, dtype=np.intp).reshape(-1, ledger.dim),
-            np.array(slopes[:kept] + child_slopes).reshape(-1, ledger.dim),
-        )
+            ids[:kept], qs[rows], np.array(values)[rows], levels[:kept] + child_levels, slopes[:kept] + child_slopes
+        ) if kept else []
     return children

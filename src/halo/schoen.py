@@ -11,6 +11,15 @@ The weights are nonnegative and sum to one, so the range of f is exactly
 [min f_j, max f_j] and the global minimum value min f_j is attained at the
 corresponding anchor.  Exponents a_m in [2, 3] make every anchor a smooth
 stationary point.
+
+``_evaluate_block`` evaluates a ``(k, n)`` block, and a single point as a
+block of one, so every row has the bits it has alone.  Each step is
+elementwise or reduces one row at a time over the same contiguous axis a
+single point reduces, except the numerator: numpy sends a 1-D ``np.dot`` to
+BLAS's ``ddot``, whose summation order depends on the kernel OpenBLAS picks
+for the host, while a 2-D ``np.dot`` goes to ``gemv``, which sums in another
+order (it moves the last bit of about half the rows).  So the kernel makes
+one ``ddot`` per row.
 """
 
 from __future__ import annotations
@@ -25,14 +34,24 @@ MAX_STATIONARY_POINTS = 100
 ANCHOR_VALUE_RANGE = (0.0, 100.0)
 
 
-def _evaluate(x: np.ndarray, anchors: np.ndarray, values: np.ndarray, exponents: np.ndarray) -> float:
-    dists = np.linalg.norm(anchors - x, axis=1)
-    if np.any(dists == 0.0):
-        return float(values[dists == 0.0].min())
-    # log-space weights: products of up to 100 small powers underflow otherwise
-    g = exponents * np.log(dists)
-    w = np.exp(g.min() - g)
-    return float(np.dot(values, w) / w.sum())
+def _evaluate_block(xs: np.ndarray, anchors: np.ndarray, values: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """Value of the interpolant at each row of the ``(k, n)`` block ``xs``.
+
+    A row at an anchor takes the smallest value of the anchors it hits.
+    """
+    d = anchors - xs[:, None, :]
+    # what np.linalg.norm(axis=-1) computes, without its wrapper
+    dists = np.sqrt(np.add.reduce(d * d, axis=2))
+    hit = dists == 0.0
+    # log-space weights: products of up to 100 small powers underflow otherwise;
+    # a hit's distance is replaced, so the logarithm never sees a zero
+    g = exponents * np.log(np.where(hit, 1.0, dists))
+    w = np.exp(g.min(axis=1, keepdims=True) - g)
+    out = np.array([np.dot(values, row) for row in w]) / w.sum(axis=1)
+    rows = hit.any(axis=1)
+    if rows.any():
+        out[rows] = np.where(hit[rows], values, np.inf).min(axis=1)
+    return out
 
 
 def schoen_generate(seed: int, n: int) -> TestProblem:
@@ -55,9 +74,8 @@ def schoen_generate(seed: int, n: int) -> TestProblem:
     def fn(x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
-            return np.float64(_evaluate(x, anchors, values, exponents))
-        # row by row, so a block has the single-point bits and the problem is vectorized
-        return np.array([_evaluate(row, anchors, values, exponents) for row in x])
+            return _evaluate_block(x[None], anchors, values, exponents)[0]
+        return _evaluate_block(x, anchors, values, exponents)
 
     return TestProblem(
         name=f"schoen-n{n}-seed{seed}",

@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the library.
 
-Everything here but the optimum audit is deliberately written as plain
-loops over Python floats, separate from the vectorized code under test.
+Everything here but the Schoen point and the optimum audit is
+deliberately written as plain loops over Python floats, separate from the
+vectorized code under test.  The Schoen point is the generator's former
+one-point evaluation, whose bits every block row must keep.
 """
 
 from __future__ import annotations
@@ -21,6 +23,23 @@ def central_difference(fn, x, coord: int, h: float) -> float:
     xp[coord] += h
     xm[coord] -= h
     return (float(fn(xp)) - float(fn(xm))) / (2.0 * h)
+
+
+def schoen_parts(seed: int, n: int):
+    """Anchors, anchor values and exponents of ``schoen_generate(seed, n)``, drawn in its order."""
+    rng = np.random.default_rng(seed)
+    s = int(rng.integers(2, 101))
+    return rng.uniform(size=(s, n)), rng.uniform(0.0, 100.0, size=s), rng.uniform(2.0, 3.0, size=s)
+
+
+def schoen_point(x, anchors, values, exponents) -> float:
+    """One point of a Schoen function, evaluated on its own."""
+    dists = np.linalg.norm(anchors - x, axis=1)
+    if np.any(dists == 0.0):
+        return float(values[dists == 0.0].min())
+    g = exponents * np.log(dists)
+    w = np.exp(g.min() - g)
+    return float(np.dot(values, w) / w.sum())
 
 
 def brute_force_halo_selection(values, diags, constants):

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from halo.schoen import MAX_STATIONARY_POINTS, _evaluate, schoen_generate
+from halo.schoen import MAX_STATIONARY_POINTS, _evaluate_block, schoen_generate
+
+from oracles import schoen_parts, schoen_point
 
 
 def naive_reference(x, anchors, values, exponents):
@@ -21,11 +25,7 @@ def naive_reference(x, anchors, values, exponents):
 def test_anchor_interpolation():
     for seed in (0, 1, 7):
         prob = schoen_generate(seed, 3)
-        # regenerate the anchors the same way the generator does
-        rng = np.random.default_rng(seed)
-        s = int(rng.integers(2, 101))
-        anchors = rng.uniform(size=(s, 3))
-        values = rng.uniform(0.0, 100.0, size=s)
+        anchors, values, _ = schoen_parts(seed, 3)
         for z, f in zip(anchors, values):
             assert float(prob.fn(z)) == pytest.approx(f, abs=1e-9)
 
@@ -34,7 +34,7 @@ def test_closed_form_midpoint_with_equal_exponents():
     anchors = np.array([[0.2], [0.8]])
     values = np.array([0.0, 1.0])
     exponents = np.array([2.5, 2.5])
-    assert _evaluate(np.array([0.5]), anchors, values, exponents) == pytest.approx(0.5)
+    assert _evaluate_block(np.array([[0.5]]), anchors, values, exponents)[0] == pytest.approx(0.5)
 
 
 def test_matches_naive_reference(rng):
@@ -43,7 +43,7 @@ def test_matches_naive_reference(rng):
     exponents = rng.uniform(2.0, 3.0, size=6)
     for _ in range(50):
         x = rng.uniform(size=2)
-        fast = _evaluate(x, anchors, values, exponents)
+        fast = schoen_point(x, anchors, values, exponents)
         slow = naive_reference(x, anchors, values, exponents)
         assert fast == pytest.approx(slow, rel=1e-10)
 
@@ -74,10 +74,7 @@ def test_different_seeds_differ():
 
 def test_range_is_anchor_value_hull(rng):
     prob = schoen_generate(3, 3)
-    regen = np.random.default_rng(3)
-    s = int(regen.integers(2, 101))
-    regen.uniform(size=(s, 3))
-    values = regen.uniform(0.0, 100.0, size=s)
+    _, values, _ = schoen_parts(3, 3)
     probes = rng.uniform(size=(500, 3))
     out = prob.fn(probes)
     assert np.all(out >= values.min() - 1e-9)
@@ -107,4 +104,33 @@ def test_exact_anchor_hit_returns_anchor_value():
     anchors = np.array([[0.25, 0.25], [0.75, 0.75]])
     values = np.array([3.0, 7.0])
     exponents = np.array([2.0, 2.0])
-    assert _evaluate(anchors[1].copy(), anchors, values, exponents) == 7.0
+    assert schoen_point(anchors[1].copy(), anchors, values, exponents) == 7.0
+    # in a block, each hit row takes its own anchor's value and the others are interpolated
+    block = _evaluate_block(np.array([[0.5, 0.5], anchors[1], anchors[0]]), anchors, values, exponents)
+    assert block.tolist() == [5.0, 7.0, 3.0]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_block_rows_have_the_single_point_bits(n):
+    # from n = 8 numpy sums each distance pairwise, so every dimension up to 10 is
+    # checked; seed 292 draws the most anchors, 100
+    for seed in (0, 7, 292):
+        anchors, values, exponents = schoen_parts(seed, n)
+        prob = schoen_generate(seed, n)
+        assert prob.stationary_points == len(anchors)
+        fn = prob.fn
+        rng = np.random.default_rng([seed, n])
+        for k in range(1, 41):
+            xs = rng.uniform(size=(k, n))
+            # exact anchor hits mixed among ordinary rows, in about a quarter of them
+            hits = rng.uniform(size=k) < 0.25
+            xs[hits] = anchors[rng.integers(len(anchors), size=hits.sum())]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = fn(xs)
+                points = [fn(x) for x in xs]
+            expected = [schoen_point(x, anchors, values, exponents) for x in xs]
+            assert block.shape == (k,)
+            assert block.tobytes() == np.array(expected).tobytes()
+            assert np.array(points).tobytes() == np.array(expected).tobytes()
+            assert all(type(p) is np.float64 for p in points)
