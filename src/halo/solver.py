@@ -46,9 +46,12 @@ class SolverConfig:
             raise ValueError("beta must be nonnegative")
 
 
-@dataclass
+@dataclass(slots=True)
 class EvalRecord:
-    """One objective evaluation: 1-based index, normalized point, value, incumbent."""
+    """One objective evaluation: 1-based index, normalized point, value, incumbent.
+
+    A run keeps one per evaluation, so the record has slots and no ``__dict__``.
+    """
 
     index: int
     point: np.ndarray

@@ -6,6 +6,11 @@ solver step may call BLAS, so a solve gives the same trace under the
 host's kernel and under the oldest x86-64 one, which ``OPENBLAS_CORETYPE``
 forces.  The objectives here are shifted rastrigin and ackley, which call
 no BLAS themselves.
+
+The Schoen functions do call BLAS, and numpy's SIMD loops, so their bits
+depend on the host; but a block row must have the bits of the same point
+alone under any kernel, which is checked under the oldest BLAS kernel and
+under numpy's loops without AVX-512.
 """
 
 from __future__ import annotations
@@ -42,29 +47,55 @@ print(trace_digest(run(shifted_handle(name, n, 3)(), cfg)))
 """
 
 
+SCHOEN_SCRIPT = """
+import numpy as np
+from halo.schoen import schoen_generate
+mismatched = 0
+for n in range(1, 11):
+    for seed in (0, 292):
+        fn = schoen_generate(seed, n).fn
+        xs = np.random.default_rng([seed, n]).uniform(size=(40, n))
+        mismatched += sum(fn(x).tobytes() != v.tobytes() for x, v in zip(xs, fn(xs)))
+print(mismatched)
+"""
+
+# kernel id -> the environment that selects it in a fresh interpreter
+KERNELS = {
+    "openblas-prescott": {"OPENBLAS_CORETYPE": "Prescott"},
+    "numpy-without-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
 def _numpy_on_openblas() -> bool:
     blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
     return "openblas" in str(blas.get("name", "")).lower()
 
 
-def digest_under(case: str, coretype: str | None) -> str:
-    """Trace digest of ``case`` in a fresh interpreter, with ``coretype`` forced if given."""
-    env = dict(os.environ)
-    env.pop("OPENBLAS_CORETYPE", None)
-    if coretype is not None:
-        env["OPENBLAS_CORETYPE"] = coretype
+def run_fresh(script: str, kernel: dict, *args) -> str:
+    """Standard output of ``script`` in a fresh interpreter whose environment selects ``kernel``."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env.update(kernel)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
-    args = [str(a) for a in CASES[case]]
-    out = subprocess.run([sys.executable, "-c", SCRIPT, *args], env=env,
+    out = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
                          capture_output=True, text=True, check=True)
     return out.stdout.strip()
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_on_openblas(),
-                    reason="OPENBLAS_CORETYPE selects kernels only for numpy on OpenBLAS on x86-64")
+on_x86_openblas = pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_on_openblas(),
+    reason="OPENBLAS_CORETYPE selects kernels only for numpy on OpenBLAS on x86-64")
+
+
+@on_x86_openblas
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_trace_is_the_same_under_every_blas_kernel(case):
-    assert digest_under(case, None) == digest_under(case, "Prescott")
+    assert run_fresh(SCRIPT, {}, *CASES[case]) == run_fresh(SCRIPT, KERNELS["openblas-prescott"], *CASES[case])
+
+
+@on_x86_openblas
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_schoen_block_rows_match_points_under_other_kernels(kernel):
+    assert run_fresh(SCHOEN_SCRIPT, KERNELS[kernel]) == "0"
 
 
 def test_no_solver_step_calls_blas():

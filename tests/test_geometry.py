@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from halo.geometry import (
@@ -59,6 +59,7 @@ def test_round_trip_many_random_points():
     st.integers(min_value=1, max_value=10),
     st.integers(min_value=0, max_value=2**32 - 1),
 )
+@example(n=4, seed=1783028)  # width 0.0119 next to a bound of 330.9: the error is 1.43e-12
 @settings(max_examples=50, deadline=None)
 def test_round_trip_hypothesis(n, seed):
     rng = np.random.default_rng(seed)
@@ -66,7 +67,10 @@ def test_round_trip_hypothesis(n, seed):
     upper = lower + rng.uniform(1e-3, 1e3, n)
     d = BoxDomain(lower, upper)
     q = rng.uniform(0.0, 1.0, n)
-    assert np.all(np.abs((denormalize_point(q, d) - d.lower) / d.widths - q) <= 1e-12)
+    # the map and its inverse round four times, each by at most an ulp of the
+    # largest bound or of q; divided by the width, that is the error allowed
+    bound = 4.0 * np.spacing(np.maximum(np.abs(d.lower), np.abs(d.upper))) / d.widths + 2.0 * np.spacing(q)
+    assert np.all(np.abs((denormalize_point(q, d) - d.lower) / d.widths - q) <= bound)
 
 
 def test_box_domain_validation():
@@ -286,6 +290,17 @@ def test_half_diagonal_at_level_400_is_positive():
     diag = ledger.half_diagonals()[0]
     assert diag > 0.0
     assert diag == pytest.approx(math.sqrt(2.0) * HALF_SIDES[400], rel=1e-15, abs=0.0)
+
+
+def test_ledger_rejects_rows_of_another_dimension():
+    ledger = PartitionLedger(3)
+    for center, slopes in (([0.5, 0.5, 0.5], [2.0]), ([0.5], [2.0, 2.0, 2.0]), (0.5, None),
+                           ([0.5, 0.5, 0.5], [[2.0, 2.0, 2.0]]), ([0.5] * 4, None)):
+        with pytest.raises(ValueError):
+            ledger.append(center, [0, 0, 0], 1.0, slopes)
+    assert len(ledger) == 0
+    ledger.append([0.5, 0.5, 0.5], [0, 0, 0], 1.0, [2.0, 2.0, 2.0])
+    assert ledger.slope_norms().tobytes() == np.linalg.norm(ledger.slopes, axis=1).tobytes()
 
 
 def test_ledger_rejects_unreachable_levels():

@@ -24,6 +24,10 @@ from oracles import ReferenceLedger, divide_one_at_a_time
     variant=st.sampled_from(VARIANTS),
     local_search=st.booleans(),
 )
+# numpy sums a row of 8 or more entries pairwise, so the cached slope norms
+# are also pinned where the summation order changes
+@example(seed=5, n=8, budget=400, variant="halo", local_search=True)
+@example(seed=6, n=10, budget=400, variant="direct", local_search=False)
 @settings(max_examples=60, deadline=None)
 def test_ledger_invariants_after_random_runs(seed, n, budget, variant, local_search):
     cfg = SolverConfig(variant=variant, beta=1e-2 if local_search else 0.0,
