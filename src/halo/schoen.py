@@ -40,16 +40,20 @@ def _evaluate_block(xs: np.ndarray, anchors: np.ndarray, values: np.ndarray, exp
     A row at an anchor takes the smallest value of the anchors it hits.
     """
     d = anchors - xs[:, None, :]
-    # what np.linalg.norm(axis=-1) computes, without its wrapper
-    dists = np.sqrt(np.add.reduce(d * d, axis=2))
+    d *= d
+    # np.linalg.norm(axis=-1) without its wrapper: each row is reduced over its
+    # own contiguous axis, as a single point's rows are
+    dists = np.sqrt(np.add.reduce(d, axis=2))
     hit = dists == 0.0
-    # log-space weights: products of up to 100 small powers underflow otherwise;
-    # a hit's distance is replaced, so the logarithm never sees a zero
-    g = exponents * np.log(np.where(hit, 1.0, dists))
+    any_hit = hit.any()
+    if any_hit:
+        dists[hit] = 1.0  # the logarithm never sees a zero; these rows are set below
+    # log-space weights: products of up to 100 small powers underflow otherwise
+    g = exponents * np.log(dists)
     w = np.exp(g.min(axis=1, keepdims=True) - g)
-    out = np.array([np.dot(values, row) for row in w]) / w.sum(axis=1)
-    rows = hit.any(axis=1)
-    if rows.any():
+    out = np.fromiter(map(values.dot, w), float, len(w)) / w.sum(axis=1)
+    if any_hit:
+        rows = hit.any(axis=1)
         out[rows] = np.where(hit[rows], values, np.inf).min(axis=1)
     return out
 
