@@ -20,8 +20,9 @@ block, ``2 * (n - depth % n)`` evaluations per partition.
 A block holds a few divisions of a few sides each, so the pass reads the
 block's rows once and does the per-division geometry on Python scalars,
 which round exactly as numpy's float64 does; numpy only gathers the rows
-and builds the point block and the rows the ledger stores, whose half
-diagonals, depths and slope norms it computes.
+and builds the point block.  The level and slope rows go to the ledger as
+the lists they were built in; it makes each one array and computes their
+depths and slope norms.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ def divide_partition(
                 slope[p] = abs(values[2 * j] - values[2 * j + 1]) / (2.0 * delta)
             start = end
             kept += 1
-        children = ledger.divide(
-            ids[:kept], qs[rows], np.array(values)[rows], levels[:kept] + child_levels, slopes[:kept] + child_slopes
-        ) if kept else []
+        children = []
+        if kept:
+            children = ledger.divide(ids[:kept], qs[rows], np.array(values)[rows],
+                                     levels[:kept] + child_levels, slopes[:kept] + child_slopes)
     return children
