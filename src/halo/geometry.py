@@ -135,8 +135,8 @@ class PartitionLedger:
     Two columns are cached when a row is written: the depth
     ``levels.sum()`` and the slope norm ``norm(slopes)``.  So that they
     cannot go stale, every column is handed out as a read-only view; rows
-    change only through ``append`` and ``divide``, which take rows of the
-    ledger's dimension only.
+    change only through ``append`` and ``divide``, which reject rows of
+    another dimension rather than broadcast them.
 
     Rows are never deleted: dividing a partition trisects it in place and
     appends the new children, so the set of rows always tiles the unit
@@ -252,6 +252,9 @@ class PartitionLedger:
         """
         levels = np.array(levels, dtype=self._levels.dtype)
         slopes = np.array(slopes, dtype=float)
+        shape = (len(pids) + len(centers), self._dim)
+        if levels.shape != shape or slopes.shape != shape or np.shape(centers) != (len(centers), self._dim):
+            raise ValueError(f"levels and slopes must be {shape} and centers {(len(centers), self._dim)}")
         first = self._reserve(len(centers))
         end = first + len(centers)
         # rows past the count first: a rejected call leaves the ledger as it was

@@ -83,7 +83,7 @@ def run_fresh(script: str, kernel: dict, *args) -> str:
 
 on_x86_openblas = pytest.mark.skipif(
     platform.machine().lower() not in ("x86_64", "amd64") or not _numpy_on_openblas(),
-    reason="OPENBLAS_CORETYPE selects kernels only for numpy on OpenBLAS on x86-64")
+    reason="the kernels selected here exist only for numpy on OpenBLAS on x86-64")
 
 
 @on_x86_openblas

@@ -67,8 +67,9 @@ def test_round_trip_hypothesis(n, seed):
     upper = lower + rng.uniform(1e-3, 1e3, n)
     d = BoxDomain(lower, upper)
     q = rng.uniform(0.0, 1.0, n)
-    # the map and its inverse round four times, each by at most an ulp of the
-    # largest bound or of q; divided by the width, that is the error allowed
+    # the product, the sum and the difference each round by at most an ulp of
+    # the largest bound, which the division by the width scales up; the
+    # division adds half an ulp of q.  Both terms carry a margin.
     bound = 4.0 * np.spacing(np.maximum(np.abs(d.lower), np.abs(d.upper))) / d.widths + 2.0 * np.spacing(q)
     assert np.all(np.abs((denormalize_point(q, d) - d.lower) / d.widths - q) <= bound)
 
@@ -300,6 +301,13 @@ def test_ledger_rejects_rows_of_another_dimension():
             ledger.append(center, [0, 0, 0], 1.0, slopes)
     assert len(ledger) == 0
     ledger.append([0.5, 0.5, 0.5], [0, 0, 0], 1.0, [2.0, 2.0, 2.0])
+    before = ledger_bytes(ledger)
+    centers, levels = np.array([[1 / 6, 0.5, 0.5], [5 / 6, 0.5, 0.5]]), [[1, 0, 0]] * 3
+    for bad in ({"slopes": [[2.0]] * 3}, {"levels": [[1]] * 3}, {"centers": centers[:, :1]}):
+        args = {"centers": centers, "levels": levels, "slopes": [[2.0, 2.0, 2.0]] * 3} | bad
+        with pytest.raises(ValueError):
+            ledger.divide([0], values=[1.0, 1.0], **args)
+    assert ledger_bytes(ledger) == before
     assert ledger.slope_norms().tobytes() == np.linalg.norm(ledger.slopes, axis=1).tobytes()
 
 
