@@ -250,13 +250,15 @@ class PartitionLedger:
         from the block's samples and hands over the lists it built them in.
         Returns the new ids in row order.
         """
+        centers = np.asarray(centers, dtype=float)
         levels = np.array(levels, dtype=self._levels.dtype)
         slopes = np.array(slopes, dtype=float)
-        shape = (len(pids) + len(centers), self._dim)
-        if levels.shape != shape or slopes.shape != shape or np.shape(centers) != (len(centers), self._dim):
-            raise ValueError(f"levels and slopes must be {shape} and centers {(len(centers), self._dim)}")
-        first = self._reserve(len(centers))
-        end = first + len(centers)
+        k = len(centers)
+        rows = (len(pids) + k, self._dim)
+        if centers.shape != (k, self._dim) or levels.shape != rows or slopes.shape != rows:
+            raise ValueError(f"centers must have shape {(k, self._dim)}, levels and slopes {rows}")
+        first = self._reserve(k)
+        end = first + k
         # rows past the count first: a rejected call leaves the ledger as it was
         self._centers[first:end] = centers
         self._values[first:end] = values
