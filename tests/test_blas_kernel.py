@@ -9,8 +9,9 @@ no BLAS themselves.
 
 The Schoen functions do call BLAS, and numpy's SIMD loops, so their bits
 depend on the host; but a block row must have the bits of the same point
-alone under any kernel, which is checked under the oldest BLAS kernel and
-under numpy's loops without AVX-512.
+alone under any kernel, which is checked for them and for every registry
+function under the oldest BLAS kernel and under numpy's loops without
+AVX-512.  Booth uses only ``+ - *``, so its trace digests hold under both.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ import sys
 
 import numpy as np
 import pytest
+
+from test_trace_digest import GOLDEN
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -57,6 +60,26 @@ for n in range(1, 11):
         xs = np.random.default_rng([seed, n]).uniform(size=(40, n))
         mismatched += sum(fn(x).tobytes() != v.tobytes() for x, v in zip(xs, fn(xs)))
 print(mismatched)
+"""
+
+REGISTRY_SCRIPT = """
+import numpy as np
+from halo.problems import CLASSICAL_FUNCTIONS, classical_problem
+mismatched = 0
+for name, spec in CLASSICAL_FUNCTIONS.items():
+    for n in filter(spec.defined_at, range(1, 11)):
+        problem = classical_problem(name, n)
+        xs = problem.make_handle().to_problem_units(np.random.default_rng(n).uniform(size=(1000, n)))
+        mismatched += sum(problem.fn(x).tobytes() != v.tobytes() for x, v in zip(xs, problem.fn(xs)))
+print(mismatched)
+"""
+
+BOOTH_CASES = ("classical20#12/halo", "classical20#12/hlo", "classical20#12/direct")
+
+DIGEST_SCRIPT = """
+import sys
+from test_trace_digest import solve, trace_digest
+print(*(trace_digest(solve(case)) for case in sys.argv[1:]))
 """
 
 # kernel id -> the environment that selects it in a fresh interpreter
@@ -96,6 +119,19 @@ def test_trace_is_the_same_under_every_blas_kernel(case):
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 def test_schoen_block_rows_match_points_under_other_kernels(kernel):
     assert run_fresh(SCHOEN_SCRIPT, KERNELS[kernel]) == "0"
+
+
+@on_x86_openblas
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_registry_block_rows_match_points_under_other_kernels(kernel):
+    assert run_fresh(REGISTRY_SCRIPT, KERNELS[kernel]) == "0"
+
+
+@on_x86_openblas
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_booth_digests_hold_under_other_kernels(kernel):
+    digests = run_fresh(DIGEST_SCRIPT, KERNELS[kernel], *BOOTH_CASES).split()
+    assert digests == [GOLDEN[case] for case in BOOTH_CASES]
 
 
 def test_no_solver_step_calls_blas():

@@ -54,7 +54,7 @@ def test_block_path_matches_point_path_on_both_manifests():
     for problem in MANIFEST_PROBLEMS:
         for variant in VARIANTS:
             for early_stop in (True, False):
-                block_handle, block = solve(problem, variant, early_stop, problem.vectorized)
+                block_handle, block = solve(problem, variant, early_stop, True)
                 point_handle, point = solve(problem, variant, early_stop, False)
                 case = (problem.name, variant, early_stop)
                 assert trace_bytes(block) == trace_bytes(point), case

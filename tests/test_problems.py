@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from halo.geometry import ObjectiveHandle, StopRule
-from halo.partitioning import _DELTAS, divide_partition, init_root
+from halo.partitioning import _DELTAS
 from halo.problems import (
     BENCHMARK_DIMS,
     CLASSICAL_FUNCTIONS,
@@ -12,7 +11,6 @@ from halo.problems import (
     shift_minimizer,
 )
 from halo.schoen import schoen_generate
-from halo.solver import SolverConfig, run
 
 from oracles import audit_optimum
 
@@ -56,16 +54,12 @@ def test_branin_value_matches_closed_form():
     assert prob.known_optimum == pytest.approx(5.0 / (4.0 * np.pi), abs=1e-12)
 
 
-POINT_ONLY = sorted(name for name, spec in CLASSICAL_FUNCTIONS.items() if not spec.vectorized)
-
 # dimensions tried for a function defined at any dimension: those of the benchmarks and below
 ANY_DIM_RANGE = range(1, max(BENCHMARK_DIMS) + 1)
 
 
-def vectorized_problems():
+def registry_problems():
     for name, spec in CLASSICAL_FUNCTIONS.items():
-        if not spec.vectorized:
-            continue
         for n in spec.dims or ANY_DIM_RANGE:
             if spec.defined_at(n):
                 problem = classical_problem(name, n)
@@ -91,12 +85,12 @@ def grid_centers(rng, count, n, max_level=4):
 
 def test_vectorized_evaluation_matches_loop(rng):
     # every row of a block has the bits of the single-point call, at every
-    # block size up to 100, so a vectorized handle may evaluate a division
+    # block size up to 100, so every registry handle evaluates a division
     # block in one call
     checked = set()
-    for prob in vectorized_problems():
-        assert prob.vectorized
+    for prob in registry_problems():
         handle = prob.make_handle()
+        assert handle.vectorized
         for q in (rng.uniform(size=(400, prob.n)), grid_centers(rng, 400, prob.n)):
             xs = handle.to_problem_units(q)
             single = np.array([float(prob.fn(x)) for x in xs])
@@ -104,25 +98,16 @@ def test_vectorized_evaluation_matches_loop(rng):
                 block = np.asarray(handle.evaluate_block(xs[:k]))
                 assert block.tobytes() == single[:k].tobytes(), (prob.name, prob.n, k)
         checked.add(prob.family if prob.family == "schoen" else prob.function)
-    assert checked == {"schoen"} | set(CLASSICAL_FUNCTIONS) - set(POINT_ONLY)
+    assert checked == {"schoen"} | set(CLASSICAL_FUNCTIONS)
 
 
-def test_point_only_functions_never_take_a_block(monkeypatch):
-    assert POINT_ONLY == ["beale", "booth", "branin", "dixon_price", "goldstein_price", "six_hump_camel"]
-
-    def refuse(self, points):
-        raise AssertionError("evaluate_block called on a point-only objective")
-
-    monkeypatch.setattr(ObjectiveHandle, "evaluate_block", refuse)
-    for name in POINT_ONLY:
-        handle = classical_problem(name, 2).make_handle()
-        assert not handle.vectorized
-        ledger = init_root(handle)
-        assert len(divide_partition(ledger, 0, handle)) == 4 and handle.eval_count == 5
-        handle = classical_problem(name, 2).make_handle()
-        handle.known_optimum = None
-        trace = run(handle, SolverConfig("direct", stop=StopRule(300)))
-        assert trace.n_evals == handle.eval_count > 200
+def test_booth_point_and_block_share_bits():
+    # a point where the C library's pow(u, 2) and u * u round differently
+    handle = classical_problem("booth", 2).make_handle()
+    q = np.array([0.8333333333333333, 0.8333333333333333])
+    expected = float.fromhex("0x1.89ffffffffffap+8")
+    assert handle.eval_normalized(q) == expected
+    assert handle.evaluate_block(handle.to_problem_units(q[None])) == [expected]
 
 
 @pytest.mark.parametrize("name", sorted(CLASSICAL_FUNCTIONS))
