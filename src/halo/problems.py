@@ -1,13 +1,14 @@
 """Classical benchmark objectives with verified optima, plus shift machinery.
 
 Every function is vectorized over the last axis, so a single point of
-shape (n,) and a batch of shape (m, n) both work.  A problem is
-``vectorized`` (its handle evaluates a division block with one call) only
-where every row of a batch has the bits of the single-point call.  Six
-functions are not: on one point they apply ``**`` to numpy float64
-scalars, which calls the C library's ``pow``, while a batch gets numpy's
-``np.square``, which can differ in the last bit.  Stored minimizers were
-refined numerically; optima that are not analytically exact are defined as
+shape (n,) and a batch of shape (m, n) both work, and every row of a batch
+has the bits of the single-point call: each problem's handle evaluates a
+division block with one call.  A power of a value indexed as ``x[..., j]``
+is written as a product (``u * u``, ``b * b * b``).  On one point that
+value is a numpy float64 scalar, and ``**`` on it calls the C library's
+``pow``, which can differ in the last bit from the ``np.square`` a batch
+gets, and from one C library to another.  Stored minimizers were refined
+numerically; optima that are not analytically exact are defined as
 the function value at the frozen minimizer and re-verified by the suite
 oracle (dense random probe plus coordinate-descent refinement) in the test
 suite before being trusted.
@@ -44,13 +45,10 @@ class TestProblem:
     seed: Optional[int] = None
     stationary_points: Optional[int] = None
     shift_seed: Optional[int] = None
-    vectorized: bool = True
 
     def make_handle(self) -> ObjectiveHandle:
         """Fresh evaluation handle; each solver run owns its own counter."""
-        return ObjectiveHandle(
-            evaluator=self.fn, domain=self.domain, known_optimum=self.known_optimum, vectorized=self.vectorized
-        )
+        return ObjectiveHandle(evaluator=self.fn, domain=self.domain, known_optimum=self.known_optimum, vectorized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +93,8 @@ def styblinski_tang(x):
 def dixon_price(x):
     x = np.asarray(x, dtype=float)
     i = np.arange(2, x.shape[-1] + 1, dtype=float)
-    return (x[..., 0] - 1.0) ** 2 + np.sum(i * (2.0 * x[..., 1:] ** 2 - x[..., :-1]) ** 2, axis=-1)
+    u = x[..., 0] - 1.0
+    return u * u + np.sum(i * (2.0 * x[..., 1:] ** 2 - x[..., :-1]) ** 2, axis=-1)
 
 
 MICHALEWICZ_STEEPNESS = 10
@@ -110,11 +109,10 @@ def michalewicz(x):
 def beale(x):
     x = np.asarray(x, dtype=float)
     a, b = x[..., 0], x[..., 1]
-    return (
-        (1.5 - a + a * b) ** 2
-        + (2.25 - a + a * b**2) ** 2
-        + (2.625 - a + a * b**3) ** 2
-    )
+    u = 1.5 - a + a * b
+    v = 2.25 - a + a * (b * b)
+    w = 2.625 - a + a * (b * b * b)
+    return u * u + v * v + w * w
 
 
 def branin(x):
@@ -124,7 +122,8 @@ def branin(x):
     c2 = 5.0 / np.pi
     s = 10.0
     t = 1.0 / (8.0 * np.pi)
-    return (b - c1 * a * a + c2 * a - 6.0) ** 2 + s * (1.0 - t) * np.cos(a) + s
+    u = b - c1 * a * a + c2 * a - 6.0
+    return u * u + s * (1.0 - t) * np.cos(a) + s
 
 
 def eggholder(x):
@@ -144,7 +143,9 @@ def adjiman(x):
 def booth(x):
     x = np.asarray(x, dtype=float)
     a, b = x[..., 0], x[..., 1]
-    return (a + 2.0 * b - 7.0) ** 2 + (2.0 * a + b - 5.0) ** 2
+    u = a + 2.0 * b - 7.0
+    v = 2.0 * a + b - 5.0
+    return u * u + v * v
 
 
 def matyas(x):
@@ -156,16 +157,18 @@ def matyas(x):
 def six_hump_camel(x):
     x = np.asarray(x, dtype=float)
     a, b = x[..., 0], x[..., 1]
-    return (4.0 - 2.1 * a * a + a**4 / 3.0) * a * a + a * b + (-4.0 + 4.0 * b * b) * b * b
+    return (4.0 - 2.1 * a * a + a * a * a * a / 3.0) * a * a + a * b + (-4.0 + 4.0 * b * b) * b * b
 
 
 def goldstein_price(x):
     x = np.asarray(x, dtype=float)
     a, b = x[..., 0], x[..., 1]
-    part1 = 1.0 + (a + b + 1.0) ** 2 * (
+    u = a + b + 1.0
+    v = 2.0 * a - 3.0 * b
+    part1 = 1.0 + u * u * (
         19.0 - 14.0 * a + 3.0 * a * a - 14.0 * b + 6.0 * a * b + 3.0 * b * b
     )
-    part2 = 30.0 + (2.0 * a - 3.0 * b) ** 2 * (
+    part2 = 30.0 + v * v * (
         18.0 - 32.0 * a + 12.0 * a * a + 48.0 * b - 36.0 * a * b + 27.0 * b * b
     )
     return part1 * part2
@@ -262,7 +265,6 @@ class FunctionSpec:
     optimum: Optional[Callable[[int], float]] = None  # None = evaluate at minimizer
     center_optimum: bool = False
     min_dim: int = 1
-    vectorized: bool = True  # False where a batch row can differ from the single-point bits
 
     def defined_at(self, n: int) -> bool:
         return n >= self.min_dim and (self.dims is None or n in self.dims)
@@ -290,9 +292,7 @@ def _registry() -> dict[str, FunctionSpec]:
         styblinski_tang, None, lo, hi, lambda n: np.full(n, _STYBLINSKI_ARGMIN)
     )
     lo, hi = _box(-10.0, 10.0)
-    reg["dixon_price"] = FunctionSpec(
-        dixon_price, None, lo, hi, _dixon_price_argmin, lambda n: 0.0, vectorized=False
-    )
+    reg["dixon_price"] = FunctionSpec(dixon_price, None, lo, hi, _dixon_price_argmin, lambda n: 0.0)
     lo, hi = _box(0.0, np.pi)
     reg["michalewicz"] = FunctionSpec(
         michalewicz,
@@ -302,16 +302,13 @@ def _registry() -> dict[str, FunctionSpec]:
         lambda n: _MICHALEWICZ_ARGMIN[:n].copy(),
     )
     lo, hi = _box(-4.5, 4.5)
-    reg["beale"] = FunctionSpec(
-        beale, (2,), lo, hi, lambda n: np.array([3.0, 0.5]), lambda n: 0.0, vectorized=False
-    )
+    reg["beale"] = FunctionSpec(beale, (2,), lo, hi, lambda n: np.array([3.0, 0.5]), lambda n: 0.0)
     reg["branin"] = FunctionSpec(
         branin,
         (2,),
         lambda n: np.array([-5.0, 0.0]),
         lambda n: np.array([10.0, 15.0]),
         lambda n: _BRANIN_ARGMIN.copy(),
-        vectorized=False,
     )
     lo, hi = _box(-512.0, 512.0)
     reg["eggholder"] = FunctionSpec(eggholder, (2,), lo, hi, lambda n: _EGGHOLDER_ARGMIN.copy())
@@ -323,9 +320,7 @@ def _registry() -> dict[str, FunctionSpec]:
         lambda n: _ADJIMAN_ARGMIN.copy(),
     )
     lo, hi = _box(-10.0, 10.0)
-    reg["booth"] = FunctionSpec(
-        booth, (2,), lo, hi, lambda n: np.array([1.0, 3.0]), lambda n: 0.0, vectorized=False
-    )
+    reg["booth"] = FunctionSpec(booth, (2,), lo, hi, lambda n: np.array([1.0, 3.0]), lambda n: 0.0)
     reg["matyas"] = FunctionSpec(matyas, (2,), lo, hi, lambda n: np.zeros(2), lambda n: 0.0, True)
     reg["six_hump_camel"] = FunctionSpec(
         six_hump_camel,
@@ -333,12 +328,9 @@ def _registry() -> dict[str, FunctionSpec]:
         lambda n: np.array([-3.0, -2.0]),
         lambda n: np.array([3.0, 2.0]),
         lambda n: _CAMEL_ARGMIN.copy(),
-        vectorized=False,
     )
     lo, hi = _box(-2.0, 2.0)
-    reg["goldstein_price"] = FunctionSpec(
-        goldstein_price, (2,), lo, hi, lambda n: np.array([0.0, -1.0]), lambda n: 3.0, vectorized=False
-    )
+    reg["goldstein_price"] = FunctionSpec(goldstein_price, (2,), lo, hi, lambda n: np.array([0.0, -1.0]), lambda n: 3.0)
     lo, hi = _box(0.0, 1.0)
     reg["hartmann3"] = FunctionSpec(hartmann3, (3,), lo, hi, lambda n: _HARTMANN3_ARGMIN.copy())
     reg["hartmann6"] = FunctionSpec(hartmann6, (6,), lo, hi, lambda n: _HARTMANN6_ARGMIN.copy())
@@ -365,7 +357,6 @@ def classical_problem(name: str, n: int) -> TestProblem:
         known_optimum=optimum,
         known_minimizer=minimizer,
         function=name,
-        vectorized=spec.vectorized,
     )
 
 

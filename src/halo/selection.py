@@ -99,16 +99,16 @@ def select_halo(ledger: PartitionLedger, constants, carried: Optional[CarriedBou
     local = blend_constants(ledger, constants, rows) if state.blend else constants
     bounds[rows] = lower_bounds(ledger, local, rows)
 
-    q1 = int(np.argmin(bounds))
+    q1 = int(bounds.argmin())
     # the previous winner (row 0 for a fresh state, whose tail is every row)
     # comes first, so ties and a first NaN still go to the lowest id
     candidates = [state.lowest_value] + tail
-    q2 = candidates[int(np.argmin(values[candidates]))]
+    q2 = candidates[int(values[candidates].argmin())]
     shallow = state.shallow[depths[state.shallow] == state.depth]
     if shallow.size == 0:
         state.depth = int(depths.min())
         shallow = np.flatnonzero(depths == state.depth)
-    q3 = int(shallow[np.argmin(bounds[shallow])])
+    q3 = int(shallow[bounds[shallow].argmin()])
 
     chosen = list(dict.fromkeys((q1, q2, q3)))
     state.key, state.count, state.chosen, state.lowest_value, state.shallow = key, count, chosen, q2, shallow

@@ -11,10 +11,10 @@ The solver calls no BLAS (``test_blas_kernel.py``), but an objective may.
 The schoen cases call ``np.dot``, which OpenBLAS computes, and ``np.exp``;
 ``classical20#3`` (a shifted ackley) calls ``np.exp``, whose SIMD kernel
 numpy picks for the host.  Those digests can differ on a host whose kernels
-round differently.  ``classical20#12`` (booth) calls the C library's
-``pow`` on numpy scalars, so its digests also depend on the host's C
-library; they pass with glibc 2.36.  The rastrigin cases use only ``np.cos`` and held under
-every OpenBLAS kernel and numpy SIMD setting tried.
+round differently.  ``classical20#12`` (booth) uses only ``+ - *``, and
+its digests hold under both kernel settings of ``test_blas_kernel.py``.
+The rastrigin cases use only ``np.cos`` and held under every OpenBLAS
+kernel and numpy SIMD setting tried.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ GOLDEN = {
     "classical20#3/halo": "6cd428868f6fdd3399d8e5ff49e531f26e204226f8ce48a67816669231d067f1",
     "classical20#3/hlo": "0ef657b2e2463eb8a6d73e6a1246695af93b91469071285672a624664697ab97",
     "classical20#3/direct": "36d77ce3432d137d11de30f6578ca6dde8f320ec4c31d234b1fe3a4d11cb0176",
-    "classical20#12/halo": "067a0592405d7e9295c49508f9b8ac06558377764711e802139922618af0b96e",
-    "classical20#12/hlo": "c8a7b147daa1536bad737b5e2e0e920c6902714f5c581cd818a4d4c6b66e9d35",
-    "classical20#12/direct": "2542bda6c9d3d21ac7834c4d09087ed0eddea0b4bb5c6bdb85905ce8ce38d058",
+    "classical20#12/halo": "1981cbda6ad7fe447f29317d35c0498179014ee074b918955279718428373b86",
+    "classical20#12/hlo": "1816f7e61130652ef794a421a8ab6d1caedbffb4089da09e60c6ce7552ffb485",
+    "classical20#12/direct": "49a23b5827b4debd1f0a9e4fb4d6d2d2da7ae55e595fc76db9f1e834fe96f493",
     "rastrigin2-deep/halo": "ee382cd1905d7243eee5d79082a3be15a50d13f5b83b4802e223eab20dabbed7",
     "rastrigin2-deep/hlo": "db3dc144197fe86136d73e508ae4f69427e0e243362f335b1a51e86e68989356",
     "rastrigin8/halo": "19b8dbc573227a947d253ce3b4d264fa1898b56f1572b06e3cc2caa0e95fba30",
