@@ -112,7 +112,8 @@ def solve(problem, variant, budget, beta, seed, n, tol, out):
     handle = prob.make_handle()
     trace = run(handle, cfg)
     if out:
-        write_jsonl(out, ({"eval_index": r.index, "value": r.value, "best": r.best} for r in trace.evals))
+        rows = zip(trace.eval_values, trace.eval_best)
+        write_jsonl(out, ({"eval_index": i, "value": v, "best": b} for i, (v, b) in enumerate(rows, start=1)))
     record = record_from_trace(prob.name, prob.n, variant, trace, prob.known_optimum)
     click.echo(f"problem={prob.name} n={prob.n} variant={variant}")
     click.echo(f"status={trace.status} evals={trace.n_evals} best={fmt_float(trace.best_value)}")

@@ -277,7 +277,9 @@ class PartitionLedger:
         return self._views["slope_norms"][: self._count]
 
 
-# Callback told of each evaluation: the normalized point and its value.
+# Callback told of each evaluation: the normalized point and its value.  The
+# point is read-only and nothing writes to it afterwards, so a callback may
+# keep it without a copy; every caller in the solver marks it before the call.
 OnEval = Callable[[np.ndarray, float], None]
 
 

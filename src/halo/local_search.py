@@ -128,6 +128,7 @@ def coordinate_descent_minimize(
     def evaluate(q: np.ndarray) -> float:
         nonlocal evals
         evals += 1
+        q.flags.writeable = False  # an ``OnEval`` point; moves replace x, never write it
         v = obj.eval_normalized(q)
         if on_eval is not None:
             on_eval(q, v)

@@ -43,6 +43,7 @@ def init_root(obj: ObjectiveHandle, on_eval: Optional[OnEval] = None) -> Partiti
     n = obj.domain.dim
     ledger = PartitionLedger(n)
     center = np.full(n, 0.5)
+    center.flags.writeable = False  # an ``OnEval`` point
     value = obj.eval_normalized(center)
     if on_eval is not None:
         on_eval(center, value)
@@ -63,7 +64,8 @@ def divide_partition(
     handle then evaluates it with one ``evaluate_block`` call; any other
     handle evaluates it lazily, one point at a time, so each evaluation
     comes right before its ``on_eval``.  Either way the values have the same
-    bits and reach ``on_eval`` one at a time, in block order.  A partition
+    bits and reach ``on_eval`` one at a time, in block order, each with its
+    row of the point block, which is read-only before the first call.  A partition
     at ``MAX_LEVEL`` has no width left to form a difference over, so it
     raises ``ZeroDivisionError`` before anything is evaluated.
 
@@ -102,6 +104,7 @@ def divide_partition(
             minus[p] -= delta
             points += (plus, minus)
     qs = np.array(points).reshape(-1, ledger.dim)
+    qs.flags.writeable = False  # its rows go to ``on_eval``, which may keep them
     xs = obj.to_problem_units(qs)
     values: list[float] = []
     try:

@@ -9,6 +9,7 @@ objective produce bitwise-identical traces.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -50,13 +51,43 @@ class SolverConfig:
 class EvalRecord:
     """One objective evaluation: 1-based index, normalized point, value, incumbent.
 
-    A run keeps one per evaluation, so the record has slots and no ``__dict__``.
+    A run stores no records: ``RunTrace.evals`` builds one from the trace's
+    columns each time an evaluation is read.
     """
 
     index: int
     point: np.ndarray
     value: float
     best: float
+
+
+class EvalView(Sequence):
+    """Read-only sequence of ``EvalRecord`` over a trace's three evaluation columns.
+
+    Indexing and iteration build each record when it is read; a slice
+    gives a list of records.
+    """
+
+    __slots__ = ("_points", "_values", "_bests")
+
+    def __init__(self, points: list[np.ndarray], values: list[float], bests: list[float]):
+        self._points, self._values, self._bests = points, values, bests
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, i):
+        n = len(self._values)
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(n))]
+        j = i + n if i < 0 else i
+        if not 0 <= j < n:
+            raise IndexError(f"evaluation {i} out of range for a trace of {n}")
+        return EvalRecord(j + 1, self._points[j], self._values[j], self._bests[j])
+
+    def __iter__(self):
+        for k, row in enumerate(zip(self._points, self._values, self._bests), start=1):
+            yield EvalRecord(k, *row)
 
 
 @dataclass
@@ -69,12 +100,18 @@ class IterationRecord:
 
 @dataclass
 class RunTrace:
-    """Full record of a run; ``best`` is nonincreasing along ``evals``.
+    """Full record of a run: evaluation ``i + 1`` is row ``i`` of three columns.
 
+    ``eval_points`` holds the read-only normalized points, each a row of the
+    block it was sampled in, kept without a copy; ``eval_values`` and
+    ``eval_best`` hold Python floats, the value and the incumbent, which is
+    nonincreasing.  ``evals`` reads the columns as ``EvalRecord`` objects.
     Points are in normalized [0, 1]^N units; ``handle.to_problem_units(trace.best_point)`` maps back.
     """
 
-    evals: list[EvalRecord]
+    eval_points: list[np.ndarray]
+    eval_values: list[float]
+    eval_best: list[float]
     iterations: list[IterationRecord]
     status: str
     best_value: float
@@ -83,6 +120,11 @@ class RunTrace:
     n_local_searches: int
     n_local_evals: int
     ledger: Optional[PartitionLedger]
+
+    @property
+    def evals(self) -> EvalView:
+        """Every evaluation as an ``EvalRecord``, built when it is read."""
+        return EvalView(self.eval_points, self.eval_values, self.eval_best)
 
 
 class _SolvedSignal(Exception):
@@ -127,7 +169,9 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     so ``iterations`` holds only iterations that chose something.
     """
     stop = cfg.stop
-    evals: list[EvalRecord] = []
+    points: list[np.ndarray] = []
+    values: list[float] = []
+    bests: list[float] = []
     iterations: list[IterationRecord] = []
     best = np.inf
     best_point: Optional[np.ndarray] = None
@@ -141,21 +185,26 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
         if improved:
             best = value
             best_point = point.copy()
-        # a block is evaluated whole before its values are recorded, so the
-        # index counts records, not the handle's evaluations
-        evals.append(EvalRecord(len(evals) + 1, point.copy(), value, best))
+        # every caller hands over a read-only point (``OnEval``), so it is kept as
+        # it is; a block is evaluated whole before its values are recorded, so
+        # the index is the row number, not the handle's evaluation count
+        points.append(point)
+        values.append(value)
+        bests.append(best)
         # solved status depends on ``best`` alone, so only a new incumbent can reach it
         if improved and _is_solved(best, obj.known_optimum, stop.rel_error_tol):
             raise _SolvedSignal
 
     def make_trace(status: str) -> RunTrace:
         return RunTrace(
-            evals=evals,
+            eval_points=points,
+            eval_values=values,
+            eval_best=bests,
             iterations=iterations,
             status=status,
             best_value=float(best),
             best_point=best_point,
-            n_evals=len(evals),
+            n_evals=len(values),
             n_local_searches=n_local,
             n_local_evals=n_local_evals,
             ledger=ledger,
@@ -220,13 +269,13 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                         if budget_hit or obj.eval_count >= stop.max_fun_evals:
                             break
                         n_local += 1
-                        mark = len(evals)
+                        mark = len(values)
                         try:
                             start_local_search(
                                 pid, ledger, obj, excluded, stop.max_fun_evals - obj.eval_count, on_eval=record
                             )
                         finally:
-                            n_local_evals += len(evals) - mark
+                            n_local_evals += len(values) - mark
                     # the largest-box mandate still forces a division
                     if decision != SELECT_FOR_DIVISION and pid != largest:
                         continue

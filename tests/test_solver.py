@@ -9,11 +9,13 @@ import pytest
 
 from halo.geometry import BoxDomain, ObjectiveError, ObjectiveHandle, StopRule
 from halo.problems import classical_problem, shift_minimizer
+import halo.solver
 from halo.solver import (
     STATUS_BUDGET,
     STATUS_ITER_LIMIT,
     STATUS_SOLVED,
     STATUS_STALLED,
+    EvalRecord,
     SolverConfig,
     run,
 )
@@ -109,6 +111,55 @@ def test_constant_objective_halo_hlo_traces_coincide():
     assert [it.selected for it in t["halo"].iterations] == [it.selected for it in t["hlo"].iterations]
     for ra, rb in zip(t["halo"].evals, t["hlo"].evals):
         assert np.array_equal(ra.point, rb.point)
+
+
+def branin_traces():
+    """Early-stopping branin solves at beta 1e-2; halo and hlo start local searches."""
+    cfgs = [SolverConfig(variant=v, beta=1e-2, stop=StopRule(max_fun_evals=3000)) for v in halo.solver.VARIANTS]
+    return [run(classical_problem("branin", 2).make_handle(), cfg) for cfg in cfgs]
+
+
+def test_run_builds_no_eval_record(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("run built an EvalRecord")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(halo.solver, "EvalRecord", refuse)
+        traces = branin_traces()
+    assert [t.status for t in traces] == [STATUS_SOLVED] * 3
+    assert [t.n_local_evals > 0 for t in traces] == [True, True, False]
+    for t in traces:
+        records = list(t.evals)
+        assert len(records) == t.n_evals and all(type(r) is EvalRecord for r in records)
+
+
+def test_trace_points_are_read_only():
+    for trace in branin_traces():
+        for e in trace.evals:
+            assert not e.point.flags.writeable
+            with pytest.raises(ValueError):
+                e.point[0] = 0.5
+
+
+def test_evals_view_reads_the_columns():
+    trace = branin_traces()[0]
+    evals, n = trace.evals, trace.n_evals
+    assert len(evals) == len(trace.eval_points) == len(trace.eval_best) == n
+    assert evals[0].index == 1 and evals[-1].index == n == evals[n - 1].index
+    assert [e.index for e in evals[3:9:2]] == [4, 6, 8]
+    assert [e.index for e in evals] == list(range(1, n + 1))
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            evals[i]
+
+    def record_bytes(view):
+        return [(e.index, e.value, e.best, e.point.tobytes()) for e in view]
+
+    assert record_bytes(trace.evals) == record_bytes(trace.evals)
+    for i, e in enumerate(evals):
+        assert e.point is trace.eval_points[i]
+        assert (e.value, e.best) == (trace.eval_values[i], trace.eval_best[i])
+        assert type(e.value) is float and type(e.best) is float
 
 
 def largest_half_diagonal(max_iter):
