@@ -9,11 +9,14 @@ one-point evaluation, whose bits every block row must keep.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from halo.geometry import HALF_SIDES, MAX_LEVEL
-from halo.local_search import coordinate_descent_minimize
+from halo.geometry import HALF_SIDES, MAX_LEVEL, PartitionLedger
+from halo.local_search import RUN, SELECT_FOR_DIVISION, coordinate_descent_minimize, gate_local_search, start_local_search
+from halo.selection import CarriedBounds, select_halo, select_potentially_optimal
+from halo.solver import DIRECT_EPSILON_REL, relative_error
 
 
 def central_difference(fn, x, coord: int, h: float) -> float:
@@ -222,6 +225,131 @@ def divide_one_at_a_time(ref: ReferenceLedger, pid: int, obj, on_eval=None) -> N
             ref.slopes.append(child_slopes)
     ref.levels[pid] = new_levels
     ref.slopes[pid] = new_slopes
+
+
+def ledger_of(ref: ReferenceLedger) -> PartitionLedger:
+    """A ledger holding the reference's rows, appended one at a time."""
+    ledger = PartitionLedger(len(ref.levels[0]))
+    for center, levels, value, slopes in zip(ref.centers, ref.levels, ref.values, ref.slopes):
+        ledger.append(center, levels, value, slopes)
+    return ledger
+
+
+@dataclass
+class ReferenceTrace:
+    """What ``reference_run`` gives: ``evals`` holds one (point, value, best) per evaluation."""
+
+    evals: list = field(default_factory=list)
+    iterations: list = field(default_factory=list)  # (index, selected, partition count, global constant)
+    status: str = "iter_limit"
+    n_local_searches: int = 0
+    n_local_evals: int = 0
+
+
+class _Solved(Exception):
+    pass
+
+
+def reference_run(handle, cfg) -> ReferenceTrace:
+    """The solver loop as ``halo.solver.run`` documents it, one partition and one point at a time.
+
+    The root is the cube's center.  Each iteration selects on a ledger
+    rebuilt from the reference's rows: ``halo`` and ``hlo`` with a fresh
+    ``CarriedBounds``, so every selection is a full scan, and ``direct``
+    with the potentially-optimal rule, which ends the run ``stalled`` when
+    it chooses nothing.  A lowest-bound or lowest-value winner goes through
+    the gate; when it may run, the divisions chosen before it are made
+    first, then the local search, with what is left of the budget.  Every
+    other chosen partition, and the largest-box winner in any case, waits
+    for the division at the end of the iteration.  A block divides its
+    longest prefix that fits the budget, a box costing two evaluations per
+    side at its lowest level, and the run ends once a division does not
+    fit or the budget is spent.  The run is solved at the first evaluation
+    whose incumbent is within the tolerance of the known optimum.
+    """
+    stop = cfg.stop
+    out = ReferenceTrace()
+    excluded: set[int] = set()
+    best = math.inf
+    ref = ledger = None
+
+    def record(q, f):
+        nonlocal best
+        if f < best:
+            best = f
+        out.evals.append((q, f, best))
+        if (handle.known_optimum is not None and math.isfinite(best)
+                and relative_error(best, handle.known_optimum) <= stop.rel_error_tol):
+            raise _Solved
+
+    def divide(block) -> bool:
+        """Divide the longest prefix of ``block`` that fits; whether the run must end."""
+        nonlocal ledger
+        room = stop.max_fun_evals - len(out.evals)
+        fits = 0
+        for pid in block:
+            levels = ref.levels[pid]
+            room -= 2 * levels.count(min(levels))
+            if room < 0:
+                break
+            fits += 1
+        for pid in block[:fits]:
+            divide_one_at_a_time(ref, pid, handle, record)
+        if fits:
+            ledger = ledger_of(ref)
+        return fits < len(block) or len(out.evals) >= stop.max_fun_evals
+
+    try:
+        n = handle.domain.dim
+        center = np.full(n, 0.5)
+        value = handle.eval_normalized(center)
+        record(center, value)
+        ledger = PartitionLedger(n)
+        ledger.append(center, np.zeros(n, dtype=int), value)
+        ref = ReferenceLedger(ledger)
+        if len(out.evals) >= stop.max_fun_evals:
+            out.status = "budget_exhausted"
+            return out
+        for k in range(stop.max_iter):
+            g_const = float(ledger.slope_norms().max())
+            if cfg.variant == "direct":
+                chosen = select_potentially_optimal(ledger, DIRECT_EPSILON_REL)
+                if not chosen:
+                    out.status = "stalled"
+                    break
+                seeds, largest = [], None
+            else:
+                outcome = select_halo(ledger, g_const, CarriedBounds(blend=cfg.variant == "halo"))
+                chosen, largest = outcome.chosen, outcome.largest_best
+                seeds = [outcome.lowest_bound, outcome.lowest_value]
+            block, end = [], False
+            for pid in chosen:
+                if pid in seeds:
+                    decision = gate_local_search(pid, ledger, excluded, cfg.beta)
+                    if decision == RUN:
+                        end = divide(block)
+                        block = []
+                        if end:
+                            break
+                        out.n_local_searches += 1
+                        mark = len(out.evals)
+                        try:
+                            start_local_search(pid, ledger, handle, excluded,
+                                               stop.max_fun_evals - len(out.evals), on_eval=record)
+                        finally:
+                            out.n_local_evals += len(out.evals) - mark
+                    if decision != SELECT_FOR_DIVISION and pid != largest:
+                        continue
+                block.append(pid)
+            if not end:
+                end = divide(block)
+            out.iterations.append((k, tuple(chosen), len(ref.values), g_const))
+            if end:
+                out.status = "budget_exhausted"
+                break
+    except _Solved:
+        out.status = "solved"
+    return out
 
 
 def audit_optimum(problem, probes: int = 1_000_000, seed: int = 0,
