@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -289,16 +289,16 @@ class ObjectiveHandle:
 
     ``vectorized`` describes the evaluator: it also takes a ``(k, N)`` block
     and returns shape ``(k,)``, every entry with the bits of a single-point
-    call, so ``evaluate_block`` may evaluate a block with one call.  It must
+    call, so ``evaluate_block`` evaluates a block with one call.  It must
     still take one ``(N,)`` point.
 
-    ``eval_count`` starts at 0 and grows by one per ``evaluate`` and by ``k``
-    per ``evaluate_block`` of ``k`` points, local searches included.  A
-    solver run that stops at a point inside a block has had the rest of the
-    block evaluated too, so ``eval_count`` can then exceed the trace's
-    ``n_evals``.  A handle is owned by a single solver run; the wrapped
-    ``evaluator`` itself must be safe to call from several handles
-    concurrently.
+    ``eval_count`` starts at 0 and grows by one per point evaluated, local
+    searches included, over every run on the handle; a run's budget counts
+    only its own evaluations.  A run that stops at a point inside a block
+    of a ``vectorized`` handle has had the rest of the block evaluated too,
+    so ``eval_count`` can then exceed the trace's ``n_evals``.  Runs on one
+    handle must not overlap; the wrapped ``evaluator`` itself must be safe
+    to call from several handles concurrently.
     """
 
     evaluator: Callable[[np.ndarray], float]
@@ -317,14 +317,16 @@ class ObjectiveHandle:
         self.eval_count += 1
         return value
 
-    def evaluate_block(self, points) -> list[float]:
-        """Evaluate each row of a ``(k, N)`` problem-units block with one evaluator call.
+    def evaluate_block(self, points) -> Iterable[float]:
+        """Evaluate each row of a ``(k, N)`` problem-units block, as Python floats in row order.
 
-        Returns Python floats, with the bits ``evaluate`` gives each row when
-        the handle is ``vectorized``.  An evaluator that raises or does not
-        return shape ``(k,)`` raises ``ObjectiveError`` and counts nothing.
+        A ``vectorized`` handle makes one evaluator call, which raises ``ObjectiveError`` and
+        counts nothing if the evaluator raises or does not return shape ``(k,)``.  Any other
+        handle returns ``map(self.evaluate, points)``, which evaluates a row only when it is read.
         """
         points = np.asarray(points, dtype=float)
+        if not self.vectorized:
+            return map(self.evaluate, points)
         k = len(points)
         if not k:
             return []

@@ -7,8 +7,8 @@ coordinate at a time, so the best new value ends up in the largest child.
 The longest sides of a box are those at its lowest trisection level.
 
 ``divide_partition`` divides a block of partitions in one pass: it places
-the points of the whole block, evaluates them in block order, with one
-objective call when the handle is ``vectorized``, and then puts every
+the points of the whole block, evaluates them in block order through
+``ObjectiveHandle.evaluate_block``, and then puts every
 division whose points all returned in division order, builds the
 children's and the parents' level rows and refreshes the slope rows from
 the same samples (central differences for the parents, forward
@@ -60,14 +60,12 @@ def divide_partition(
     two points per longest side, ``center +/- delta`` along each of them in
     ascending order; rows ``2j`` and ``2j + 1`` of the block are the points
     of its cut ``j``, each partition's cuts following the previous one's.
-    The block is mapped to problem units with one call.  A ``vectorized``
-    handle then evaluates it with one ``evaluate_block`` call; any other
-    handle evaluates it lazily, one point at a time, so each evaluation
-    comes right before its ``on_eval``.  Either way the values have the same
-    bits and reach ``on_eval`` one at a time, in block order, each with its
-    row of the point block, which is read-only before the first call.  A partition
-    at ``MAX_LEVEL`` has no width left to form a difference over, so it
-    raises ``ZeroDivisionError`` before anything is evaluated.
+    The block is mapped to problem units with one call and evaluated by
+    ``evaluate_block``; the values reach ``on_eval`` one at a time, in
+    block order, each with its row of the point block, which is read-only
+    before the first call.  A partition at ``MAX_LEVEL`` has no width left
+    to form a difference over, so it raises ``ZeroDivisionError`` before
+    anything is evaluated.
 
     Each division is cut in division order: its sides ascending by the
     lower of their two new values, ties to the lower coordinate.  At each
@@ -108,7 +106,7 @@ def divide_partition(
     xs = obj.to_problem_units(qs)
     values: list[float] = []
     try:
-        for q, f in zip(qs, obj.evaluate_block(xs) if obj.vectorized else map(obj.evaluate, xs)):
+        for q, f in zip(qs, obj.evaluate_block(xs)):
             if on_eval is not None:
                 on_eval(q, f)
             values.append(f)

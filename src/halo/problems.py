@@ -23,8 +23,6 @@ import numpy as np
 
 from .geometry import BoxDomain, ObjectiveHandle
 
-BENCHMARK_DIMS = (2, 3, 4, 6, 8, 10)
-
 # Fraction of each side kept clear when drawing a shifted minimizer, so the
 # new minimizer is strictly interior.
 SHIFT_MARGIN = 0.05
@@ -47,7 +45,7 @@ class TestProblem:
     shift_seed: Optional[int] = None
 
     def make_handle(self) -> ObjectiveHandle:
-        """Fresh evaluation handle; each solver run owns its own counter."""
+        """Fresh evaluation handle, whose ``eval_count`` starts at 0."""
         return ObjectiveHandle(evaluator=self.fn, domain=self.domain, known_optimum=self.known_optimum, vectorized=True)
 
 

@@ -159,7 +159,8 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     evaluation count at which a problem is solved is exact; a block is
     cut to the longest prefix whose evaluations fit the budget before any
     of it is sampled, so a division either happens completely or not at
-    all, and the first division that does not fit ends the run.
+    all, and the first division that does not fit ends the run.  The budget
+    counts the run's own evaluations, so each run on a handle gets all of it.
 
     An iteration that chooses nothing ends the run with ``stalled``: the
     ledger would not change, so every later iteration would choose nothing
@@ -184,10 +185,9 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
         improved = value < best
         if improved:
             best = value
-            best_point = point.copy()
-        # every caller hands over a read-only point (``OnEval``), so it is kept as
-        # it is; a block is evaluated whole before its values are recorded, so
-        # the index is the row number, not the handle's evaluation count
+            best_point = point
+        # every caller hands over a read-only point (``OnEval``), so it is kept as it is,
+        # incumbent included; the row count is the run's own evaluation count
         points.append(point)
         values.append(value)
         bests.append(best)
@@ -214,36 +214,35 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
     carried = CarriedBounds(blend=cfg.variant == "halo")
     excluded: set[int] = set()  # partitions near which no local search may start
     pending: list[int] = []  # partitions chosen for division, not yet sampled
-    budget_hit = False
 
-    def divide_pending() -> None:
+    def divide_pending() -> bool:
         """Sample and divide the pending block, or its longest prefix that fits the budget.
 
         A box of depth ``d`` has ``n - d % n`` longest sides, since its levels
         lie in ``{k, k + 1}``, and costs two evaluations per longest side.  If
         the sampling stops early, the divisions completed before the stopping
-        one still reach the ledger.
+        one still reach the ledger.  Returns whether the run must end.
         """
-        nonlocal budget_hit
-        if not pending:
-            return
-        n = ledger.dim
-        room = stop.max_fun_evals - obj.eval_count
-        fits = 0
-        for d in ledger.depths[pending].tolist():
-            room -= 2 * (n - d % n)
-            if room < 0:
-                break
-            fits += 1
-        block = pending[:fits]
-        budget_hit = fits < len(pending)
-        pending.clear()
-        divide_partition(ledger, block, obj, on_eval=record)
+        cut = False
+        if pending:
+            n = ledger.dim
+            room = stop.max_fun_evals - len(values)
+            fits = 0
+            for d in ledger.depths[pending].tolist():
+                room -= 2 * (n - d % n)
+                if room < 0:
+                    break
+                fits += 1
+            block = pending[:fits]
+            cut = fits < len(pending)
+            pending.clear()
+            divide_partition(ledger, block, obj, on_eval=record)
+        return cut or len(values) >= stop.max_fun_evals
 
     status = STATUS_ITER_LIMIT
     try:
         ledger = init_root(obj, on_eval=record)
-        if obj.eval_count >= stop.max_fun_evals:
+        if len(values) >= stop.max_fun_evals:
             return make_trace(STATUS_BUDGET)
         for k in range(stop.max_iter):
             g_const = global_slope_max(ledger)
@@ -265,14 +264,14 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                 if pid in seeds:
                     decision = gate_local_search(pid, ledger, excluded, cfg.beta)
                     if decision == RUN:
-                        divide_pending()
-                        if budget_hit or obj.eval_count >= stop.max_fun_evals:
+                        spent = divide_pending()
+                        if spent:
                             break
                         n_local += 1
                         mark = len(values)
                         try:
                             start_local_search(
-                                pid, ledger, obj, excluded, stop.max_fun_evals - obj.eval_count, on_eval=record
+                                pid, ledger, obj, excluded, stop.max_fun_evals - mark, on_eval=record
                             )
                         finally:
                             n_local_evals += len(values) - mark
@@ -280,10 +279,11 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                     if decision != SELECT_FOR_DIVISION and pid != largest:
                         continue
                 pending.append(pid)
-            divide_pending()
+            else:
+                spent = divide_pending()
 
             iterations.append(IterationRecord(k, tuple(chosen), len(ledger), g_const))
-            if budget_hit or obj.eval_count >= stop.max_fun_evals:
+            if spent:
                 status = STATUS_BUDGET
                 break
     except _SolvedSignal:

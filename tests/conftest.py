@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -77,6 +79,19 @@ def ledger_bytes(ledger):
         ledger.centers, ledger.levels, ledger.values, ledger.slopes,
         ledger.depths, ledger.half_diagonals(), ledger.slope_norms(),
     )]
+
+
+def trace_bytes(trace):
+    """Every field of a trace but the ledger, as bytes."""
+    evals = b"".join(
+        struct.pack("<qdd", e.index, e.value, e.best) + e.point.tobytes() for e in trace.evals
+    )
+    iterations = [(it.index, it.selected, it.partition_count, struct.pack("<d", it.global_constant))
+                  for it in trace.iterations]
+    head = (trace.status, struct.pack("<d", trace.best_value), trace.n_evals,
+            trace.n_local_searches, trace.n_local_evals)
+    best_point = None if trace.best_point is None else trace.best_point.tobytes()
+    return evals, iterations, head, best_point
 
 
 def class_diagonals(ledger):

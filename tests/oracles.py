@@ -1,9 +1,12 @@
 """Independent reference implementations used to check the library.
 
-Everything here but the Schoen point and the optimum audit is
-deliberately written as plain loops over Python floats, separate from the
-vectorized code under test.  The Schoen point is the generator's former
-one-point evaluation, whose bits every block row must keep.
+Everything here but the Schoen point, the optimum audit and the whole-run
+reference is deliberately written as plain loops over Python floats,
+separate from the vectorized code under test.  The Schoen point is the
+generator's former one-point evaluation, whose bits every block row must
+keep.  The whole-run reference checks the solver loop: it takes selection
+and local search from the library, each checked on its own elsewhere, and
+divides with the one-at-a-time division here.
 """
 
 from __future__ import annotations

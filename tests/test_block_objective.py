@@ -7,7 +7,6 @@ and a block that fails must stop the run at the previous block.
 from __future__ import annotations
 
 import pathlib
-import struct
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from halo.geometry import ObjectiveError, StopRule
 from halo.manifest import load_manifest, problem_from_record
 from halo.solver import STATUS_SOLVED, VARIANTS, SolverConfig, run
 
-from conftest import ledger_bytes, unit_handle
+from conftest import ledger_bytes, trace_bytes, unit_handle
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 MANIFEST_PROBLEMS = [
@@ -25,19 +24,6 @@ MANIFEST_PROBLEMS = [
     for record in load_manifest(ROOT / "benchmarks" / name)
 ]
 BUDGET = 300
-
-
-def trace_bytes(trace):
-    """Every field of a trace but the ledger, as bytes."""
-    evals = b"".join(
-        struct.pack("<qdd", e.index, e.value, e.best) + e.point.tobytes() for e in trace.evals
-    )
-    iterations = [(it.index, it.selected, it.partition_count, struct.pack("<d", it.global_constant))
-                  for it in trace.iterations]
-    head = (trace.status, struct.pack("<d", trace.best_value), trace.n_evals,
-            trace.n_local_searches, trace.n_local_evals)
-    best_point = None if trace.best_point is None else trace.best_point.tobytes()
-    return evals, iterations, head, best_point
 
 
 def solve(problem, variant, early_stop, vectorized):
@@ -143,3 +129,20 @@ def test_failing_block_stops_at_the_previous_block(result):
     reference = direct_run(unit_handle(rastrigin_like, 2), partial.n_evals)
     assert trace_bytes(partial)[0] == trace_bytes(reference)[0]
     assert ledger_bytes(partial.ledger) == ledger_bytes(reference.ledger)
+
+
+def test_a_scalar_handle_evaluates_a_block_one_read_row_at_a_time():
+    calls = []
+
+    def one_point(x):
+        if x.ndim != 1:
+            raise ValueError("takes one point")
+        calls.append(x.tolist())
+        return float(x.sum())
+
+    h = unit_handle(one_point, 2)
+    rows = iter(h.evaluate_block(np.array([[0.25, 0.5], [0.5, 1.0], [1.0, 2.0]])))
+    assert calls == [] and h.eval_count == 0
+    assert next(rows) == 0.75 and calls == [[0.25, 0.5]] and h.eval_count == 1
+    assert next(rows) == 1.5 and calls == [[0.25, 0.5], [0.5, 1.0]] and h.eval_count == 2
+    # the last row is never read, so it is never evaluated

@@ -20,7 +20,7 @@ from halo.solver import (
     run,
 )
 
-from conftest import ledger_bytes, unit_handle
+from conftest import ledger_bytes, trace_bytes, unit_handle
 
 
 def rastrigin_like(x):
@@ -98,6 +98,26 @@ def test_eval_accounting_identity():
         sampling_evals = len(trace.ledger) - 1  # every sampled point became a center
         assert trace.n_evals == 1 + sampling_evals + trace.n_local_evals
         assert trace.n_evals == h.eval_count
+
+
+@pytest.mark.parametrize("variant", halo.solver.VARIANTS)
+def test_each_run_on_one_handle_gets_the_whole_budget(variant):
+    h = unit_handle(rastrigin_like, 2)
+    cfg = SolverConfig(variant=variant, beta=1e-2, stop=StopRule(max_fun_evals=300))
+    first = run(h, cfg)
+    second = run(h, cfg)
+    assert first.status == STATUS_BUDGET
+    assert trace_bytes(second) == trace_bytes(first)
+    assert h.eval_count == first.n_evals + second.n_evals
+
+
+@pytest.mark.parametrize("variant", halo.solver.VARIANTS)
+def test_calls_before_a_run_leave_its_trace_unchanged(variant):
+    # at this budget, a run with one evaluation less ends differently under every variant
+    cfg = SolverConfig(variant=variant, beta=1e-2, stop=StopRule(max_fun_evals=293))
+    used = unit_handle(rastrigin_like, 2)
+    used.evaluate([0.5, 0.5])
+    assert trace_bytes(run(used, cfg)) == trace_bytes(run(unit_handle(rastrigin_like, 2), cfg))
 
 
 def test_constant_objective_halo_hlo_traces_coincide():
