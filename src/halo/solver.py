@@ -279,7 +279,7 @@ def run(obj: ObjectiveHandle, cfg: SolverConfig) -> RunTrace:
                     if decision != SELECT_FOR_DIVISION and pid != largest:
                         continue
                 pending.append(pid)
-            else:
+            else:  # the budget held through every local search: divide the rest
                 spent = divide_pending()
 
             iterations.append(IterationRecord(k, tuple(chosen), len(ledger), g_const))

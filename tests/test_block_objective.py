@@ -141,8 +141,8 @@ def test_a_scalar_handle_evaluates_a_block_one_read_row_at_a_time():
         return float(x.sum())
 
     h = unit_handle(one_point, 2)
+    # each row is evaluated when it is read, so the last, never read, is never evaluated
     rows = iter(h.evaluate_block(np.array([[0.25, 0.5], [0.5, 1.0], [1.0, 2.0]])))
     assert calls == [] and h.eval_count == 0
     assert next(rows) == 0.75 and calls == [[0.25, 0.5]] and h.eval_count == 1
     assert next(rows) == 1.5 and calls == [[0.25, 0.5], [0.5, 1.0]] and h.eval_count == 2
-    # the last row is never read, so it is never evaluated
